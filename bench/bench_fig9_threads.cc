@@ -14,6 +14,14 @@
 //        --threshold=F   efficiency threshold; low values keep the run in
 //                        Phase 1, making it sampling-dominated (default 0.001)
 //        --out=PATH      JSON output path (default BENCH_threads.json)
+//        --min-sampling-speedup=F
+//                        exit 3 unless the sampling phase at the top thread
+//                        count runs at least F times faster than with one
+//                        thread (default 0 = report only, so CI smoke runs
+//                        stay portable across host core counts)
+//
+// Exit status: 0 ok, 1 JSON write failed, 2 a run diverged from the
+// single-threaded result, 3 below --min-sampling-speedup.
 
 #include <cstdio>
 #include <cstring>
@@ -35,6 +43,8 @@ int main(int argc, char** argv) {
   long hardware = static_cast<long>(std::thread::hardware_concurrency());
   if (hardware < 1) hardware = 1;
   long max_threads = flags.GetInt("max-threads", hardware);
+  const double min_sampling_speedup =
+      flags.GetDouble("min-sampling-speedup", 0.0);
   std::string out = "BENCH_threads.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) out = argv[i] + 6;
@@ -55,6 +65,7 @@ int main(int argc, char** argv) {
     int threads;
     double seconds;
     double speedup;
+    double sampling_seconds;
     size_t fds;
     size_t comparisons;
     bool identical;
@@ -105,8 +116,8 @@ int main(int argc, char** argv) {
                 algo.stats().validation_seconds, fds.size(),
                 algo.stats().comparisons, identical ? "yes" : "NO !!");
     std::fflush(stdout);
-    points.push_back({threads, seconds, speedup, fds.size(),
-                      algo.stats().comparisons, identical});
+    points.push_back({threads, seconds, speedup, algo.stats().sampling_seconds,
+                      fds.size(), algo.stats().comparisons, identical});
     report.SetCounter("bench.threads", static_cast<uint64_t>(threads));
     report.SetCounter("bench.identical", identical ? 1 : 0);
     report.SetCounter(
@@ -128,5 +139,18 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
   for (const Point& p : points) all_identical = all_identical && p.identical;
-  return all_identical ? 0 : 2;
+  if (!all_identical) return 2;
+  if (points.empty()) return 0;
+
+  const Point& top = points.back();
+  const double serial_sampling = points.front().sampling_seconds;
+  const double sampling_speedup =
+      top.sampling_seconds > 0 ? serial_sampling / top.sampling_seconds : 0.0;
+  std::printf("Sampling speedup at %d threads: %.2fx (floor %.2fx)\n",
+              top.threads, sampling_speedup, min_sampling_speedup);
+  if (min_sampling_speedup > 0 && sampling_speedup < min_sampling_speedup) {
+    std::fprintf(stderr, "FAIL: below --min-sampling-speedup floor\n");
+    return 3;
+  }
+  return 0;
 }

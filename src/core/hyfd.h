@@ -33,9 +33,9 @@ struct HyFdConfig {
   /// FDTree memory budget for the Guardian; 0 disables pruning.
   size_t memory_limit_bytes = 0;
   /// > 1 parallelizes both hybrid phases on one shared pool (paper §10.4):
-  /// the Sampler's cluster sortings, window runs, and negative-cover inserts
-  /// as well as the Validator's refinement checks. Results and stats are
-  /// bit-identical for any value.
+  /// the Sampler's cluster sortings and window scans (new agree sets are
+  /// merged into the negative cover serially) as well as the Validator's
+  /// refinement checks. Results and stats are bit-identical for any value.
   int num_threads = 1;
   /// If set, the run charges its data structures here (Table 3 accounting).
   MemoryTracker* memory_tracker = nullptr;

@@ -1,6 +1,7 @@
 #include "core/sampler.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/check.h"
 
@@ -23,15 +24,19 @@ Sampler::Sampler(const PreprocessedData* data, double efficiency_threshold,
       strategy_(strategy),
       threshold_(efficiency_threshold),
       pool_(pool),
-      metrics_(metrics),
-      non_fds_(pool != nullptr ? pool->num_threads() * 4 : 1) {}
+      metrics_(metrics) {
+  if (metrics_ != nullptr) {
+    sort_timer_ = metrics_->GetTimer("sampler.sort_ns");
+    scan_timer_ = metrics_->GetTimer("sampler.scan_ns");
+    merge_timer_ = metrics_->GetTimer("sampler.merge_ns");
+  }
+}
 
 void Sampler::MatchPair(RecordId a, RecordId b,
                         std::vector<SampledNonFd>* new_non_fds) {
   ++total_comparisons_;
   data_->records.MatchInto(a, b, &scratch_);
-  if (non_fds_.Contains(scratch_)) return;
-  if (non_fds_.Insert(scratch_)) new_non_fds->push_back({scratch_, a, b});
+  if (non_fds_.insert(scratch_).second) new_non_fds->push_back({scratch_, a, b});
 }
 
 void Sampler::SortClustersOfAttribute(int attr) {
@@ -62,6 +67,7 @@ void Sampler::SortClustersOfAttribute(int attr) {
 
 void Sampler::InitializeClusterSortings() {
   const int m = data_->num_attributes;
+  ScopedMetricTimer timer(sort_timer_);
   sorted_clusters_.resize(static_cast<size_t>(m));
   efficiencies_.clear();
   if (pool_ != nullptr && m > 1) {
@@ -100,6 +106,7 @@ void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds)
   }
 
   if (pool_ == nullptr || total_pairs < kMinParallelPairs) {
+    ScopedMetricTimer scan(scan_timer_);
     const size_t new_before = new_non_fds->size();
     for (uint32_t c : eligible) {
       const auto& cluster = clusters[c];
@@ -114,54 +121,77 @@ void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds)
 
   first_pair.push_back(total_pairs);
 
-  // Parallel path: workers claim pair ranges, match into a per-worker
-  // scratch set, and probe the sharded negative cover — a shared-lock
-  // Contains for the common already-known case, then an exclusive Insert
-  // that exactly one worker wins per distinct agree set. Freshly discovered
-  // sets land in per-worker buffers merged below.
+  // Parallel path: nobody writes the cover until ParallelForRanges returns,
+  // so workers probe it without a lock. An agree set missing from it is
+  // fresh; each worker dedups its fresh sets into its own map, keeping the
+  // smallest global pair index that produced each one.
+  struct Witness {
+    size_t pair;
+    RecordId a;
+    RecordId b;
+  };
   struct WorkerState {
-    std::vector<SampledNonFd> fresh;
+    std::unordered_map<AttributeSet, Witness> fresh;
     AttributeSet scratch;
   };
   std::vector<WorkerState> workers(pool_->num_threads());
-  pool_->ParallelForRanges(
-      total_pairs, kPairGrain, [&](size_t begin, size_t end) {
-        const int wid = ThreadPool::CurrentWorkerIndex();
-        HYFD_DCHECK(wid >= 0, "Sampler window task off the pool");
-        WorkerState& state = workers[static_cast<size_t>(wid)];
-        size_t k = static_cast<size_t>(
-                       std::upper_bound(first_pair.begin(), first_pair.end(),
-                                        begin) -
-                       first_pair.begin()) -
-                   1;
-        size_t p = begin;
-        while (p < end) {
-          const auto& cluster = clusters[eligible[k]];
-          const size_t stop = std::min(end, first_pair[k + 1]);
-          size_t i = p - first_pair[k];
-          for (; p < stop; ++p, ++i) {
-            data_->records.MatchInto(cluster[i], cluster[i + w - 1],
-                                     &state.scratch);
-            if (non_fds_.Contains(state.scratch)) continue;
-            if (non_fds_.Insert(state.scratch)) {
-              state.fresh.push_back(
-                  {state.scratch, cluster[i], cluster[i + w - 1]});
+  {
+    ScopedMetricTimer scan(scan_timer_);
+    pool_->ParallelForRanges(
+        total_pairs, kPairGrain, [&](size_t begin, size_t end) {
+          const int wid = ThreadPool::CurrentWorkerIndex();
+          HYFD_DCHECK(wid >= 0, "Sampler window task off the pool");
+          WorkerState& state = workers[static_cast<size_t>(wid)];
+          size_t k = static_cast<size_t>(
+                         std::upper_bound(first_pair.begin(), first_pair.end(),
+                                          begin) -
+                         first_pair.begin()) -
+                     1;
+          size_t p = begin;
+          while (p < end) {
+            const auto& cluster = clusters[eligible[k]];
+            const size_t stop = std::min(end, first_pair[k + 1]);
+            size_t i = p - first_pair[k];
+            for (; p < stop; ++p, ++i) {
+              const RecordId a = cluster[i];
+              const RecordId b = cluster[i + w - 1];
+              data_->records.MatchInto(a, b, &state.scratch);
+              if (non_fds_.find(state.scratch) != non_fds_.end()) continue;
+              auto [it, inserted] =
+                  state.fresh.try_emplace(state.scratch, Witness{p, a, b});
+              if (!inserted && p < it->second.pair) it->second = {p, a, b};
             }
+            ++k;
           }
-          ++k;
-        }
-      });
+        });
+  }
 
-  // Deterministic merge: comparison and result counts are sums over the
-  // partition of the pair space, so they match the serial path exactly; the
-  // batch itself is canonically re-sorted in Run().
-  size_t results = 0;
+  // Serial merge in pair order: inserting the fresh sets by ascending
+  // witness index reproduces the serial path's insert sequence, so the first
+  // insert of each agree set carries its smallest pair (the canonical
+  // witness), `results` counts successful inserts exactly as serially, and
+  // the cover ends up with the same contents. The agree sets are moved out
+  // of the worker maps; the batch is canonically re-sorted in Run().
+  ScopedMetricTimer merge(merge_timer_);
+  std::vector<std::pair<Witness, AttributeSet>> found;
   for (WorkerState& state : workers) {
-    results += state.fresh.size();
-    for (SampledNonFd& found : state.fresh) {
-      new_non_fds->push_back(std::move(found));
+    while (!state.fresh.empty()) {
+      auto node = state.fresh.extract(state.fresh.begin());
+      found.emplace_back(node.mapped(), std::move(node.key()));
     }
   }
+  std::sort(found.begin(), found.end(), [](const auto& x, const auto& y) {
+    return x.first.pair < y.first.pair;
+  });
+  const size_t cover_before = non_fds_.size();
+  size_t results = 0;
+  for (auto& [witness, agree] : found) {
+    if (!non_fds_.insert(agree).second) continue;  // a later pair's duplicate
+    new_non_fds->push_back({std::move(agree), witness.a, witness.b});
+    ++results;
+  }
+  HYFD_DCHECK(non_fds_.size() == cover_before + results,
+              "Sampler merge: cover growth differs from the result count");
   total_comparisons_ += total_pairs;
   eff->comps += total_pairs;
   eff->results += results;
@@ -250,11 +280,10 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
     RunRandom(&new_non_fds);
   }
   // Canonical batch order: descending bit count (the Inductor specializes
-  // longest-first anyway), ties lexicographic. Parallel window runs append
-  // in worker order, so this sort is what makes the returned agree-set batch
-  // — and hence the induced FDTree — bit-identical for any thread count.
-  // (The *witnesses* riding along are not canonical: which pair first
-  // inserted a set into the sharded cover is a race; see SampledNonFd.)
+  // longest-first anyway), ties lexicographic. Agree sets in a batch are
+  // distinct, so the order is total. The witnesses riding along are
+  // canonical too: each is the first pair in comparison order that
+  // produced its set (see SampledNonFd).
   std::sort(new_non_fds.begin(), new_non_fds.end(),
             [](const SampledNonFd& a, const SampledNonFd& b) {
               const int ca = a.agree.Count();
@@ -267,11 +296,11 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
 
 size_t Sampler::NegativeCoverBytes() const {
   size_t bytes = 0;
-  non_fds_.ForEach([&bytes](const AttributeSet& s) {
+  for (const AttributeSet& s : non_fds_) {
     bytes += sizeof(AttributeSet) + s.MemoryBytes();
-  });
+  }
   // Rough accounting of the hash-set buckets.
-  bytes += non_fds_.BucketBytes();
+  bytes += non_fds_.bucket_count() * sizeof(void*);
   return bytes;
 }
 

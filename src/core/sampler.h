@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <random>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/preprocessor.h"
 #include "util/attribute_set.h"
 #include "util/metrics.h"
-#include "util/sharded_set.h"
 #include "util/thread_pool.h"
 
 namespace hyfd {
@@ -25,11 +25,10 @@ enum class SamplingStrategy {
 /// A freshly discovered non-FD agree set together with the record pair that
 /// witnessed it. The incremental session keys its witnessed negative cover on
 /// these: when a witness row dies (DeleteRows/UpdateRows) the agree set can
-/// no longer be trusted and is dropped from the cover. With a thread pool the
-/// winning witness for an agree set is whichever worker inserts it first, so
-/// witnesses (unlike the agree-set batch itself) are not deterministic across
-/// thread counts — dropping a still-true set only costs re-validation work,
-/// never correctness.
+/// no longer be trusted and is dropped from the cover. The witness is the
+/// first pair in comparison order that produced the agree set — within a
+/// window run, the smallest global pair index — so witnesses are
+/// bit-identical for any thread count, like the agree-set batch itself.
 struct SampledNonFd {
   AttributeSet agree;
   RecordId a = 0;
@@ -46,17 +45,21 @@ struct SampledNonFd {
 /// efficiency threshold halves on every re-entry.
 ///
 /// With a ThreadPool attached, Phase 1 runs parallel end-to-end (paper
-/// §10.4): cluster sortings are built concurrently per attribute, each
-/// window run partitions its pair space across workers, and the negative
-/// cover is a hash-striped ShardedSet so discovering an agree set never
-/// serializes the other workers. The result is deterministic: the returned
-/// non-FD batch (canonically sorted), total_comparisons(), num_non_fds(),
-/// and every per-window efficiency value are bit-identical for any thread
+/// §10.4): cluster sortings are built concurrently per attribute, and each
+/// window run partitions its pair space across workers. Nobody writes the
+/// negative cover while a window's workers scan, so they probe it without
+/// any lock and collect fresh agree sets into per-worker sets; the driver
+/// thread then merges those into the cover in pair order. The result is
+/// deterministic: the returned non-FD batch (canonically sorted) with its
+/// witnesses, total_comparisons(), num_non_fds(), the cover's contents, and
+/// every per-window efficiency value are bit-identical for any thread
 /// count, including none.
 class Sampler {
  public:
-  /// A non-null `metrics` registry receives window/phase counters — updated
-  /// per window run, never per pair, so the hot loop stays metric-free.
+  /// A non-null `metrics` registry receives window/phase counters and the
+  /// `sampler.sort_ns` / `sampler.scan_ns` / `sampler.merge_ns` timers —
+  /// updated per window run, never per pair, so the hot loop stays
+  /// metric-free.
   Sampler(const PreprocessedData* data, double efficiency_threshold,
           SamplingStrategy strategy = SamplingStrategy::kClusterWindowing,
           ThreadPool* pool = nullptr, MetricsRegistry* metrics = nullptr);
@@ -115,11 +118,16 @@ class Sampler {
   double threshold_;
   ThreadPool* pool_;
   MetricsRegistry* metrics_;
+  /// Cluster sorting, window pair scans, and parallel-window merges; null
+  /// without a registry (ScopedMetricTimer is null-safe).
+  Metric* sort_timer_ = nullptr;
+  Metric* scan_timer_ = nullptr;
+  Metric* merge_timer_ = nullptr;
   bool initialized_ = false;
 
-  /// The negative cover. One shard when serial; ~4 shards per worker when a
-  /// pool is attached, so concurrent inserts rarely collide on a lock.
-  ShardedSet<AttributeSet> non_fds_;
+  /// The negative cover. Only the driver thread inserts; parallel window
+  /// workers read it concurrently but never while an insert can happen.
+  std::unordered_set<AttributeSet> non_fds_;
   /// Per attribute: that PLI's clusters with records sorted by the
   /// neighbor-attribute keys (paper Figure 3.1).
   std::vector<std::vector<std::vector<RecordId>>> sorted_clusters_;

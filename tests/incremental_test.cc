@@ -618,6 +618,89 @@ TEST(IncrementalCrudTest, CrudStatsAndReportCounters) {
   EXPECT_TRUE(RunReport::ValidateJsonSchema(session.report().ToJson()).empty());
 }
 
+// The Sampler's witnesses are canonical (the first pair in comparison order),
+// so the witnessed cover a session seeds from is the same for any thread
+// count — and with it every CRUD batch's repair work, not just its FD set.
+// The seed relation is large enough for window runs to take the parallel
+// path, and the batches delete enough rows to kill many witnesses.
+TEST(IncrementalCrudTest, BatchStatsIdenticalAcrossThreadCounts) {
+  constexpr size_t kSeedRows = 20000;
+  Relation full = GenerateFdReduced(kSeedRows + 100, 8, 8, /*seed=*/31);
+  IncrementalConfig serial_config;
+  serial_config.efficiency_threshold = 0.001;  // many parallel window runs
+  IncrementalConfig parallel_config = serial_config;
+  parallel_config.num_threads = 8;
+  IncrementalHyFd serial(full.HeadRows(kSeedRows), serial_config);
+  IncrementalHyFd parallel(full.HeadRows(kSeedRows), parallel_config);
+  testing::ExpectSameFds(serial.fds(), parallel.fds(), "seed run");
+
+  std::mt19937_64 rng(31);
+  size_t next_source = kSeedRows;
+  const auto pick_live = [&](size_t k) {
+    std::vector<RecordId> live;
+    for (RecordId id = 0; id < serial.relation().num_rows(); ++id) {
+      if (serial.IsRowLive(id)) live.push_back(id);
+    }
+    std::shuffle(live.begin(), live.end(), rng);
+    live.resize(k);
+    return live;
+  };
+  const auto updates_of = [&](const std::vector<RecordId>& ids) {
+    std::vector<std::pair<RecordId, Row>> updates;
+    for (RecordId id : ids) {
+      updates.emplace_back(id, RowOf(full, rng() % full.num_rows()));
+    }
+    return updates;
+  };
+
+  for (int step = 0; step < 6; ++step) {
+    const std::string context = "step " + std::to_string(step + 1);
+    switch (step % 3) {
+      case 0: {
+        const std::vector<RecordId> deletes = pick_live(1000);
+        serial.DeleteRows(deletes);
+        parallel.DeleteRows(deletes);
+        break;
+      }
+      case 1: {
+        const auto updates = updates_of(pick_live(200));
+        serial.UpdateRows(updates);
+        parallel.UpdateRows(updates);
+        break;
+      }
+      default: {
+        const auto inserts = Slice(full, next_source, next_source + 20);
+        next_source += 20;
+        const std::vector<RecordId> victims = pick_live(700);
+        const std::vector<RecordId> deletes(victims.begin(),
+                                            victims.begin() + 500);
+        const auto updates =
+            updates_of(std::vector<RecordId>(victims.begin() + 500,
+                                             victims.end()));
+        serial.ApplyMixed(inserts, deletes, updates);
+        parallel.ApplyMixed(inserts, deletes, updates);
+        break;
+      }
+    }
+    testing::ExpectSameFds(serial.fds(), parallel.fds(), context);
+    const IncrementalBatchStats& x = serial.last_batch_stats();
+    const IncrementalBatchStats& y = parallel.last_batch_stats();
+    EXPECT_EQ(x.batch_rows, y.batch_rows) << context;
+    EXPECT_EQ(x.deleted_rows, y.deleted_rows) << context;
+    EXPECT_EQ(x.generalization_candidates, y.generalization_candidates)
+        << context;
+    EXPECT_EQ(x.fds_generalized, y.fds_generalized) << context;
+    EXPECT_EQ(x.touched_clusters, y.touched_clusters) << context;
+    EXPECT_EQ(x.fds_invalidated, y.fds_invalidated) << context;
+    EXPECT_EQ(x.fds_revalidated, y.fds_revalidated) << context;
+    EXPECT_EQ(x.reseeded, y.reseeded) << context;
+    EXPECT_EQ(x.validations, y.validations) << context;
+    EXPECT_EQ(x.comparisons, y.comparisons) << context;
+    EXPECT_EQ(x.phase_switches, y.phase_switches) << context;
+    EXPECT_EQ(x.num_fds, y.num_fds) << context;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Seed/reseed stats attribution (the last_batch_stats() regression).
 // ---------------------------------------------------------------------------

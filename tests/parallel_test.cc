@@ -1,10 +1,13 @@
 // Determinism and thread-safety tests for the parallel Phase-1 pipeline:
-// the same FDs, stats, and sampler batches must come out bit-identical for
-// every thread count, and the sharded negative cover must survive concurrent
-// hammering (run under TSan via the "concurrency" ctest label).
+// the same FDs, stats, sampler batches, witnesses, and negative covers must
+// come out bit-identical for every thread count. Run under TSan via the
+// "concurrency" ctest label, the sweeps below also cover the lock-free
+// window scan over the read-only cover.
 
 #include <algorithm>
 #include <atomic>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hyfd.h"
@@ -16,128 +19,10 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/check.h"
-#include "util/sharded_set.h"
 #include "util/thread_pool.h"
 
 namespace hyfd {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ShardedSet
-// ---------------------------------------------------------------------------
-
-TEST(ShardedSetTest, InsertContainsAndDeduplicates) {
-  ShardedSet<AttributeSet> set(4);
-  AttributeSet a(70, {1, 65});
-  AttributeSet b(70, {2});
-  EXPECT_FALSE(set.Contains(a));
-  EXPECT_TRUE(set.Insert(a));
-  EXPECT_FALSE(set.Insert(a));  // duplicate
-  EXPECT_TRUE(set.Insert(b));
-  EXPECT_TRUE(set.Contains(a));
-  EXPECT_TRUE(set.Contains(b));
-  EXPECT_EQ(set.size(), 2u);
-
-  size_t seen = 0;
-  set.ForEach([&](const AttributeSet& s) {
-    ++seen;
-    EXPECT_TRUE(s == a || s == b);
-  });
-  EXPECT_EQ(seen, 2u);
-}
-
-TEST(ShardedSetTest, ShardCountRoundsUpToPowerOfTwo) {
-  ShardedSet<int> set(5);
-  EXPECT_EQ(set.num_shards(), 8u);
-  ShardedSet<int> one(0);
-  EXPECT_EQ(one.num_shards(), 1u);
-}
-
-TEST(ShardedSetTest, ConcurrentInsertsCountEachValueOnce) {
-  // 8 workers race to insert the same 512 values; exactly 512 inserts may
-  // report success (the successful-insert count is what makes the parallel
-  // sampler's efficiency values order-independent).
-  constexpr size_t kValues = 512;
-  std::vector<AttributeSet> values;
-  values.reserve(kValues);
-  for (size_t v = 0; v < kValues; ++v) {
-    AttributeSet s(96);
-    for (int bit = 0; bit < 96; ++bit) {
-      if ((v >> (bit % 9)) & 1u) s.Set(bit);
-    }
-    s.Set(static_cast<int>(v % 96));
-    values.push_back(s);
-  }
-  // Some of the constructed sets collide; count the distinct ones.
-  std::vector<AttributeSet> distinct = values;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-
-  ShardedSet<AttributeSet> set(32);
-  ThreadPool pool(8);
-  std::atomic<size_t> successes{0};
-  pool.ParallelForDynamic(8 * kValues, 1, [&](size_t i) {
-    const AttributeSet& s = values[i % kValues];
-    const bool present = set.Contains(s);  // shared-lock fast path, racing
-    if (set.Insert(s)) {
-      EXPECT_FALSE(present);  // a value seen present can never insert
-      successes.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(successes.load(), distinct.size());
-  EXPECT_EQ(set.size(), distinct.size());
-}
-
-TEST(ShardedSetTest, SnapshotReadersSurviveConcurrentInserts) {
-  // ForEach/size/BucketBytes are shard-at-a-time snapshots
-  // (sharded_set.h): racing them against writers must be memory-safe (this
-  // test runs under TSan via the "concurrency" label) and every observed
-  // view must be *causally bounded* — at least everything inserted before
-  // the readers started, at most everything ever inserted, and only values
-  // from the inserted universe.
-  constexpr int kPreloaded = 256;
-  constexpr int kRacing = 2048;
-  ShardedSet<int> set(8);
-  for (int v = 0; v < kPreloaded; ++v) set.Insert(v);
-
-  ThreadPool pool(6);
-  std::atomic<bool> writers_done{false};
-  std::atomic<size_t> min_size_seen{static_cast<size_t>(-1)};
-  std::atomic<int> snapshots_taken{0};
-  pool.ParallelFor(6, [&](size_t worker) {
-    if (worker < 4) {  // writers: racing inserts of a disjoint tail
-      const int begin = kPreloaded + static_cast<int>(worker) * kRacing;
-      for (int v = begin; v < begin + kRacing; ++v) set.Insert(v);
-      return;
-    }
-    // Readers: hammer the snapshot calls until some snapshot observes the
-    // final size (size() is monotone here — inserts only — so "saw the full
-    // count" means every writer retired).
-    while (!writers_done.load(std::memory_order_acquire)) {
-      size_t seen = 0;
-      set.ForEach([&](int v) {
-        ++seen;
-        EXPECT_GE(v, 0);
-        EXPECT_LT(v, kPreloaded + 4 * kRacing);
-      });
-      const size_t counted = set.size();
-      const size_t floor = std::min(seen, counted);
-      size_t prev = min_size_seen.load();
-      while (prev > floor && !min_size_seen.compare_exchange_weak(prev, floor)) {
-      }
-      EXPECT_GT(set.BucketBytes(), 0u);
-      snapshots_taken.fetch_add(1, std::memory_order_relaxed);
-      if (counted == static_cast<size_t>(kPreloaded + 4 * kRacing)) {
-        writers_done.store(true, std::memory_order_release);
-      }
-    }
-  });
-  // Post-race (serial context): the view is exact again.
-  EXPECT_EQ(set.size(), static_cast<size_t>(kPreloaded + 4 * kRacing));
-  // Every mid-race snapshot was bounded below by the preloaded prefix.
-  EXPECT_GE(min_size_seen.load(), static_cast<size_t>(kPreloaded));
-  EXPECT_GT(snapshots_taken.load(), 0);
-}
 
 // ---------------------------------------------------------------------------
 // ThreadPool: the nested-blocking-call deadlock guard
@@ -220,13 +105,52 @@ TEST(ParallelStressTest, SamplerBatchIdenticalWithPool) {
   }
   EXPECT_EQ(serial.total_comparisons(), parallel.total_comparisons());
   EXPECT_EQ(serial.num_non_fds(), parallel.num_non_fds());
-  // NegativeCoverBytes is intentionally NOT compared: the sharded cover's
-  // bucket-array overhead depends on the shard count, not the contents.
+  // One plain set with the same contents, filled in the same insert order.
+  EXPECT_EQ(serial.NegativeCoverBytes(), parallel.NegativeCoverBytes());
+}
+
+TEST(ParallelStressTest, SamplerWitnessesIdenticalWithPool) {
+  // Each agree set's witness is its first pair in comparison order, so the
+  // witnessed batch — suggestion replay included — matches the serial one
+  // element for element, (agree, a, b), for every pool size.
+  Relation r = GenerateFdReduced(20000, 8, 8, /*seed=*/21);
+  PreprocessedData data = Preprocess(r);
+  const std::vector<std::pair<RecordId, RecordId>> suggestions = {
+      {0, 1}, {2, 19999}, {17, 2048}};
+
+  Sampler serial(&data, 0.001);
+  auto expected_first = serial.RunWithWitnesses({});
+  auto expected_second = serial.RunWithWitnesses(suggestions);
+  ASSERT_FALSE(expected_first.empty());
+
+  const auto expect_same = [](const std::vector<SampledNonFd>& expected,
+                              const std::vector<SampledNonFd>& actual,
+                              const std::string& context) {
+    ASSERT_EQ(expected.size(), actual.size()) << context;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(expected[i].agree, actual[i].agree) << context << " #" << i;
+      EXPECT_EQ(expected[i].a, actual[i].a) << context << " #" << i;
+      EXPECT_EQ(expected[i].b, actual[i].b) << context << " #" << i;
+    }
+  };
+  for (size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    Sampler parallel(&data, 0.001, SamplingStrategy::kClusterWindowing, &pool);
+    const std::string context = std::to_string(threads) + " threads";
+    expect_same(expected_first, parallel.RunWithWitnesses({}),
+                context + ", phase 1");
+    expect_same(expected_second, parallel.RunWithWitnesses(suggestions),
+                context + ", phase 2");
+    EXPECT_EQ(serial.total_comparisons(), parallel.total_comparisons())
+        << context;
+    EXPECT_EQ(serial.NegativeCoverBytes(), parallel.NegativeCoverBytes())
+        << context;
+  }
 }
 
 TEST(ParallelStressTest, SamplingHeavyDiscoveryMatchesSerial) {
   // A low threshold keeps the run in Phase 1 for many windows — the densest
-  // concurrent traffic on the sharded cover and the parallel window path.
+  // concurrent traffic on the read-only cover and the parallel window path.
   Relation r = GenerateFdReduced(2500, 8, 12, /*seed=*/5);
   HyFdConfig serial_config;
   serial_config.efficiency_threshold = 0.0001;

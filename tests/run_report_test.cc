@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "baselines/registry.h"
+#include "core/hyfd.h"
 #include "core/hyucc.h"
 #include "data/datasets.h"
+#include "data/generators.h"
 #include "util/metrics.h"
 
 namespace hyfd {
@@ -301,6 +303,19 @@ TEST(RunReportSweepTest, EveryRegistryAlgorithmEmitsValidReport) {
     auto parsed = RunReport::FromJson(report.ToJson());
     ASSERT_TRUE(parsed.has_value()) << algo.name;
     EXPECT_EQ(*parsed, report) << algo.name;
+  }
+
+  // A pooled HyFd run splits the Sampler's time into its steps. Windows of
+  // this relation are large enough to take the parallel scan-and-merge path.
+  RunReport pooled;
+  HyFdConfig config;
+  config.num_threads = 4;
+  config.run_report = &pooled;
+  HyFd(config).Discover(GenerateFdReduced(4000, 8, 8, /*seed=*/3));
+  EXPECT_TRUE(RunReport::ValidateJsonSchema(pooled.ToJson()).empty());
+  for (const char* timer :
+       {"sampler.sort_ns", "sampler.scan_ns", "sampler.merge_ns"}) {
+    EXPECT_GT(pooled.FindCounter(timer).value_or(0), 0u) << timer;
   }
 }
 
