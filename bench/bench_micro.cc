@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "core/inductor.h"
 #include "core/preprocessor.h"
+#include "core/sampler.h"
 #include "core/refine_kernel.h"
 #include "data/csv.h"
 #include "data/datasets.h"
@@ -375,6 +377,39 @@ void BM_FdTreeGetLevel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FdTreeGetLevel);
+
+// Copy-constructs an AttributeSet over state.range(0) attributes: inline
+// words up to 128 attributes, one heap array beyond.
+void BM_AttributeSetCopy(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  AttributeSet source(m);
+  for (int i = 0; i < m; i += 3) source.Set(i);
+  for (auto _ : state) {
+    AttributeSet copy = source;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AttributeSetCopy)->Arg(38)->Arg(200);
+
+// Folds one sampling phase's non-FDs of the column regime (the uniprot
+// stand-in at 1,000 rows x 38 columns, as in the discover-wide benchmark
+// workload) into a fresh candidate tree.
+void BM_InductorUpdate(benchmark::State& state) {
+  Relation r = MakeDataset("uniprot", 1000, 38);
+  PreprocessedData data = Preprocess(r);
+  Sampler sampler(&data, /*efficiency_threshold=*/0.01);
+  const std::vector<AttributeSet> non_fds = sampler.Run({});
+  for (auto _ : state) {
+    FDTree tree(data.num_attributes);
+    Inductor inductor(&tree);
+    inductor.Update(non_fds);
+    benchmark::DoNotOptimize(tree.root());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(non_fds.size()));
+}
+BENCHMARK(BM_InductorUpdate)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hyfd

@@ -22,18 +22,25 @@ namespace {
 constexpr int kUccMarker = 0;
 
 /// Specializes the candidate tree with one non-unique set (an agree set):
-/// every candidate contained in it is not unique; extend minimally.
+/// every candidate contained in it is not unique; extend minimally. One
+/// tree walk finds the candidates; each extension only needs the
+/// generalizations that contain the new attribute (the candidates form an
+/// antichain and the extended one was just removed).
 void SpecializeUcc(FDTree* tree, const AttributeSet& agree) {
-  const int m = tree->num_attributes();
-  std::vector<AttributeSet> invalid = tree->GetFdAndGeneralizations(agree, kUccMarker);
-  for (const AttributeSet& candidate : invalid) {
-    tree->RemoveFd(candidate, kUccMarker);
-    for (int attr = 0; attr < m; ++attr) {
-      if (agree.Test(attr)) continue;  // still inside the agreeing pair
-      AttributeSet extended = candidate.With(attr);
-      if (tree->ContainsFdOrGeneralization(extended, kUccMarker)) continue;
+  AttributeSet marker(tree->num_attributes());
+  marker.Set(kUccMarker);
+  const AttributeSet outside = agree.Complement();
+  for (const FDTree::LhsGroup& group :
+       tree->GetGeneralizationGroups(agree, marker)) {
+    tree->RemoveFd(group.lhs, kUccMarker);
+    // Attributes inside the agree set keep the pair agreeing.
+    ForEachBit(outside, [&](int attr) {
+      AttributeSet extended = group.lhs.With(attr);
+      if (tree->ContainsFdOrGeneralizationWith(extended, kUccMarker, attr)) {
+        return;
+      }
       tree->AddFd(extended, kUccMarker);
-    }
+    });
   }
 }
 
@@ -166,7 +173,9 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
         for (int attr = 0; attr < m; ++attr) {
           if (lhs.Test(attr)) continue;
           AttributeSet extended = lhs.With(attr);
-          if (tree.ContainsFdOrGeneralization(extended, kUccMarker)) continue;
+          if (tree.ContainsFdOrGeneralizationWith(extended, kUccMarker, attr)) {
+            continue;
+          }
           tree.AddFd(extended, kUccMarker);
         }
       }

@@ -379,7 +379,8 @@ ValidatorResult Validator::Run() {
 
     // --- Merge: update nodes, collect invalid FDs and suggestions. --------
     size_t num_valid = 0;
-    std::vector<FD> invalid_fds;
+    size_t num_invalid = 0;
+    std::vector<FDTree::LhsGroup> invalid;  // LHS with its invalid RHSs
     for (size_t i = 0; i < level.size(); ++i) {
       auto& entry = level[i];
       if (entry.node->fds.Empty()) continue;
@@ -400,8 +401,10 @@ ValidatorResult Validator::Run() {
       // data (restricted survivors by the ClusterDelta soundness argument),
       // so the node is fully confirmed either way.
       entry.node->confirmed = entry.node->fds;
-      ForEachBit(invalid_rhss,
-                 [&](int rhs) { invalid_fds.emplace_back(entry.lhs, rhs); });
+      if (!invalid_rhss.Empty()) {
+        num_invalid += static_cast<size_t>(invalid_rhss.Count());
+        invalid.push_back({entry.lhs, std::move(invalid_rhss)});
+      }
       raw_emitted += outcomes[i].suggestions.size();
       for (auto& suggestion : outcomes[i].suggestions) {
         result.comparison_suggestions.push_back(suggestion);
@@ -424,17 +427,24 @@ ValidatorResult Validator::Run() {
     }
 
     // --- Specialize the invalid FDs (Algorithm 4, lines 21-33). -----------
-    for (const FD& fd : invalid_fds) {
+    // One LHS at a time: both minimality checks of an extension attribute
+    // are shared by all of the LHS's invalid RHSs.
+    for (const auto& [lhs, rhss] : invalid) {
       for (int attr = 0; attr < m; ++attr) {
-        if (fd.lhs.Test(attr) || attr == fd.rhs) continue;
+        if (lhs.Test(attr)) continue;
+        AttributeSet targets = rhss;
+        targets.Reset(attr);  // trivial FDs are never candidates
+        if (targets.Empty()) continue;
         // Minimality 1: if lhs → attr is (already validated as) valid, the
         // closure of lhs ∪ {attr} equals the closure of lhs, so the
         // specialization would be invalid too.
-        if (tree_->ContainsFdOrGeneralization(fd.lhs, attr)) continue;
-        AttributeSet new_lhs = fd.lhs.With(attr);
-        // Minimality 2: skip if a generalization (or the FD itself) exists.
-        if (tree_->ContainsFdOrGeneralization(new_lhs, fd.rhs)) continue;
-        tree_->AddFd(new_lhs, fd.rhs);
+        if (tree_->ContainsFdOrGeneralization(lhs, attr)) continue;
+        AttributeSet new_lhs = lhs.With(attr);
+        // Minimality 2: skip RHSs with a generalization (or the FD itself).
+        // lhs → rhs was just removed and the tree is a per-RHS antichain,
+        // so only generalizations containing `attr` can exist.
+        targets.AndNot(tree_->FindGeneralizedRhssWith(new_lhs, targets, attr));
+        ForEachBit(targets, [&](int rhs) { tree_->AddFd(new_lhs, rhs); });
       }
     }
 
@@ -443,11 +453,11 @@ ValidatorResult Validator::Run() {
     if (metrics_ != nullptr) {
       metrics_->GetCounter("validator.levels")->Add(1);
       metrics_->GetCounter("validator.candidates")->Add(level.size());
-      metrics_->GetCounter("validator.invalid_fds")->Add(invalid_fds.size());
+      metrics_->GetCounter("validator.invalid_fds")->Add(num_invalid);
     }
 
     // --- Phase-switch test (Algorithm 4, line 36). -------------------------
-    if (static_cast<double>(invalid_fds.size()) >
+    if (static_cast<double>(num_invalid) >
         threshold_ * static_cast<double>(num_valid)) {
       finalize_suggestions();
       return result;  // validation inefficient: back to sampling

@@ -2,7 +2,17 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace hyfd {
+
+FDSet::FDSet(std::vector<FD> fds, CanonicalInput) : fds_(std::move(fds)) {
+  HYFD_DCHECK(std::adjacent_find(fds_.begin(), fds_.end(),
+                                 [](const FD& a, const FD& b) {
+                                   return !(a < b);
+                                 }) == fds_.end(),
+              "FDSet: canonical input is unsorted or has duplicates");
+}
 
 void FDSet::Canonicalize() {
   std::sort(fds_.begin(), fds_.end());

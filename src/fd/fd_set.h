@@ -18,6 +18,13 @@ class FDSet {
   FDSet() = default;
   explicit FDSet(std::vector<FD> fds) : fds_(std::move(fds)) { Canonicalize(); }
 
+  /// Tag of the constructor for input that is already canonical.
+  struct CanonicalInput {};
+  static constexpr CanonicalInput kCanonical{};
+  /// Adopts `fds` as is: the caller guarantees canonical order without
+  /// duplicates (checked by HYFD_DCHECK), so the sort and dedup are skipped.
+  FDSet(std::vector<FD> fds, CanonicalInput);
+
   void Add(FD fd) { fds_.push_back(std::move(fd)); }
   void Add(const AttributeSet& lhs, int rhs) { fds_.emplace_back(lhs, rhs); }
 

@@ -1,6 +1,7 @@
 #include "fd/fd_tree.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -8,13 +9,13 @@ namespace hyfd {
 namespace {
 
 /// Recursive helper for ContainsFdOrGeneralization: scan subsets of the
-/// remaining LHS bits (at or after `from`) along existing tree paths.
+/// remaining LHS bits (after `from`) along existing tree paths.
 bool FindGeneralization(const FDTree::Node* node, const AttributeSet& lhs,
                         int rhs, int from) {
   if (node->fds.Test(rhs)) return true;
   if (!node->rhs_attrs.Test(rhs)) return false;
-  for (int attr = from < 0 ? lhs.First() : lhs.NextAfter(from);
-       attr != AttributeSet::kNpos; attr = lhs.NextAfter(attr)) {
+  for (int attr = lhs.NextAfter(from); attr != AttributeSet::kNpos;
+       attr = lhs.NextAfter(attr)) {
     const FDTree::Node* child = node->Child(attr);
     if (child != nullptr && FindGeneralization(child, lhs, rhs, attr)) {
       return true;
@@ -23,17 +24,38 @@ bool FindGeneralization(const FDTree::Node* node, const AttributeSet& lhs,
   return false;
 }
 
-void CollectGeneralizations(const FDTree::Node* node, const AttributeSet& lhs,
-                            int rhs, int from, AttributeSet* path,
-                            std::vector<AttributeSet>* out) {
-  if (node->fds.Test(rhs)) out->push_back(*path);
-  if (!node->rhs_attrs.Test(rhs)) return;
-  for (int attr = from < 0 ? lhs.First() : lhs.NextAfter(from);
-       attr != AttributeSet::kNpos; attr = lhs.NextAfter(attr)) {
+/// Recursive helper for FindGeneralizedRhssWith: clears from `pending`
+/// every RHS stored at a node whose path contains `must`. Paths spell
+/// ascending attributes, so a path that has not taken `must` yet may not
+/// step past it, and only nodes at or below `must` can answer.
+void ClearGeneralizedWith(const FDTree::Node* node, const AttributeSet& lhs,
+                          int from, int must, AttributeSet* pending) {
+  const bool has_must = from >= must;
+  if (has_must) pending->AndNot(node->fds);
+  if (!node->rhs_attrs.Intersects(*pending)) return;
+  for (int attr = lhs.NextAfter(from); attr != AttributeSet::kNpos;
+       attr = lhs.NextAfter(attr)) {
+    if (!has_must && attr > must) break;
+    const FDTree::Node* child = node->Child(attr);
+    if (child == nullptr) continue;
+    ClearGeneralizedWith(child, lhs, attr, must, pending);
+    if (pending->Empty()) return;
+  }
+}
+
+void CollectGeneralizationGroups(const FDTree::Node* node,
+                                 const AttributeSet& lhs,
+                                 const AttributeSet& rhss, int from,
+                                 AttributeSet* path,
+                                 std::vector<FDTree::LhsGroup>* out) {
+  if (node->fds.Intersects(rhss)) out->push_back({*path, node->fds & rhss});
+  if (!node->rhs_attrs.Intersects(rhss)) return;
+  for (int attr = lhs.NextAfter(from); attr != AttributeSet::kNpos;
+       attr = lhs.NextAfter(attr)) {
     const FDTree::Node* child = node->Child(attr);
     if (child == nullptr) continue;
     path->Set(attr);
-    CollectGeneralizations(child, lhs, rhs, attr, path, out);
+    CollectGeneralizationGroups(child, lhs, rhss, attr, path, out);
     path->Reset(attr);
   }
 }
@@ -54,15 +76,18 @@ void CollectLevel(FDTree::Node* node, int remaining, AttributeSet* path,
   }
 }
 
-void CollectFds(const FDTree::Node* node, AttributeSet* path,
-                std::vector<FD>* out) {
-  ForEachBit(node->fds, [&](int rhs) { out->emplace_back(*path, rhs); });
+/// Calls `fn(lhs, depth, rhs)` for every stored FD, depth first; `depth` is
+/// the LHS size.
+template <typename Fn>
+void ForEachFdRec(const FDTree::Node* node, size_t depth, AttributeSet* path,
+                  Fn& fn) {
+  ForEachBit(node->fds, [&](int rhs) { fn(*path, depth, rhs); });
   if (node->children.empty()) return;
   for (size_t attr = 0; attr < node->children.size(); ++attr) {
     const FDTree::Node* child = node->children[attr].get();
     if (child == nullptr) continue;
     path->Set(static_cast<int>(attr));
-    CollectFds(child, path, out);
+    ForEachFdRec(child, depth + 1, path, fn);
     path->Reset(static_cast<int>(attr));
   }
 }
@@ -96,8 +121,8 @@ bool FindConfirmedGeneralization(const FDTree::Node* node,
                                  const AttributeSet& lhs, int rhs, int from) {
   if (node->confirmed.Test(rhs)) return true;
   if (!node->rhs_attrs.Test(rhs)) return false;
-  for (int attr = from < 0 ? lhs.First() : lhs.NextAfter(from);
-       attr != AttributeSet::kNpos; attr = lhs.NextAfter(attr)) {
+  for (int attr = lhs.NextAfter(from); attr != AttributeSet::kNpos;
+       attr = lhs.NextAfter(attr)) {
     const FDTree::Node* child = node->Child(attr);
     if (child != nullptr && FindConfirmedGeneralization(child, lhs, rhs, attr)) {
       return true;
@@ -164,12 +189,9 @@ size_t MemoryBytesRec(const FDTree::Node* node) {
   return bytes;
 }
 
-/// Recursive audit for FDTree::CheckInvariants. `ancestor_fds` is the union
-/// of `fds` along the path above `node` (by value: the tree is shallow and
-/// the audit is not a hot path).
+/// Recursive structural audit for FDTree::CheckInvariants.
 void CheckNodeInvariants(const FDTree::Node* node, int num_attributes,
-                         int depth, int max_lhs_size,
-                         AttributeSet ancestor_fds) {
+                         int depth, int max_lhs_size) {
   HYFD_CHECK(node->fds.size() == num_attributes,
              "FDTree: fds bitset ranges over the wrong attribute count");
   HYFD_CHECK(node->rhs_attrs.size() == num_attributes,
@@ -185,14 +207,10 @@ void CheckNodeInvariants(const FDTree::Node* node, int num_attributes,
              "FDTree: child slots outside the attribute range");
   HYFD_CHECK(max_lhs_size < 0 || depth <= max_lhs_size,
              "FDTree: node deeper than the Guardian's LHS cap");
-  HYFD_CHECK(!node->fds.Intersects(ancestor_fds),
-             "FDTree: FD stored below a stored generalization (non-minimal)");
-  ancestor_fds |= node->fds;
   AttributeSet child_union(num_attributes);
   for (const auto& child : node->children) {
     if (child == nullptr) continue;
-    CheckNodeInvariants(child.get(), num_attributes, depth + 1, max_lhs_size,
-                        ancestor_fds);
+    CheckNodeInvariants(child.get(), num_attributes, depth + 1, max_lhs_size);
     child_union |= child->rhs_attrs;
   }
   HYFD_CHECK(child_union.IsSubsetOf(node->rhs_attrs),
@@ -291,11 +309,35 @@ bool FDTree::ContainsFdOrGeneralization(const AttributeSet& lhs, int rhs) const 
   return FindGeneralization(root_.get(), lhs, rhs, -1);
 }
 
-std::vector<AttributeSet> FDTree::GetFdAndGeneralizations(const AttributeSet& lhs,
-                                                          int rhs) const {
-  std::vector<AttributeSet> out;
+bool FDTree::ContainsFdOrGeneralizationWith(const AttributeSet& lhs, int rhs,
+                                            int must) const {
+  AttributeSet only_rhs(num_attributes_);
+  only_rhs.Set(rhs);
+  return !FindGeneralizedRhssWith(lhs, only_rhs, must).Empty();
+}
+
+AttributeSet FDTree::FindGeneralizedRhssWith(const AttributeSet& lhs,
+                                             const AttributeSet& rhss,
+                                             int must) const {
+  HYFD_DCHECK(lhs.Test(must),
+              "FDTree::FindGeneralizedRhssWith: must is not in lhs");
+  AttributeSet pending = rhss;
+  ClearGeneralizedWith(root_.get(), lhs, -1, must, &pending);
+  AttributeSet found = rhss;
+  found.AndNot(pending);
+  HYFD_AUDIT_ONLY(ForEachBit(rhss, [&](int rhs) {
+    HYFD_CHECK(found.Test(rhs) == ContainsFdOrGeneralization(lhs, rhs),
+               "FDTree: restricted generalization check disagrees with the "
+               "full one");
+  }));
+  return found;
+}
+
+std::vector<FDTree::LhsGroup> FDTree::GetGeneralizationGroups(
+    const AttributeSet& lhs, const AttributeSet& rhss) const {
+  std::vector<LhsGroup> out;
   AttributeSet path(num_attributes_);
-  CollectGeneralizations(root_.get(), lhs, rhs, -1, &path, &out);
+  CollectGeneralizationGroups(root_.get(), lhs, rhss, -1, &path, &out);
   return out;
 }
 
@@ -307,10 +349,36 @@ std::vector<FDTree::LevelEntry> FDTree::GetLevel(int level) {
 }
 
 FDSet FDTree::ToFdSet() const {
-  std::vector<FD> fds;
+  // Canonical order is (rhs, LHS size, LHS) and depth equals LHS size: count
+  // the FDs of every (rhs, depth) bucket, place each FD at its bucket's next
+  // slot, and sort only within buckets.
+  const size_t depths = static_cast<size_t>(Depth()) + 1;
+  auto bucket = [depths](size_t depth, int rhs) {
+    return static_cast<size_t>(rhs) * depths + depth;
+  };
+  // next[b] starts as the first slot of bucket b and ends one past its last.
+  std::vector<size_t> next(static_cast<size_t>(num_attributes_) * depths + 1, 0);
   AttributeSet path(num_attributes_);
-  CollectFds(root_.get(), &path, &fds);
-  return FDSet(std::move(fds));
+  auto count = [&](const AttributeSet&, size_t depth, int rhs) {
+    ++next[bucket(depth, rhs) + 1];
+  };
+  ForEachFdRec(root_.get(), 0, &path, count);
+  std::partial_sum(next.begin(), next.end(), next.begin());
+  std::vector<FD> fds(next.back());
+  auto place = [&](const AttributeSet& lhs, size_t depth, int rhs) {
+    FD& fd = fds[next[bucket(depth, rhs)]++];
+    fd.lhs = lhs;
+    fd.rhs = rhs;
+  };
+  ForEachFdRec(root_.get(), 0, &path, place);
+  size_t begin = 0;
+  for (size_t b = 0; b + 1 < next.size(); ++b) {
+    std::sort(fds.begin() + static_cast<std::ptrdiff_t>(begin),
+              fds.begin() + static_cast<std::ptrdiff_t>(next[b]),
+              [](const FD& x, const FD& y) { return x.lhs < y.lhs; });
+    begin = next[b];
+  }
+  return FDSet(std::move(fds), FDSet::kCanonical);
 }
 
 size_t FDTree::CountFds() const { return CountFdsRec(root_.get()); }
@@ -348,8 +416,16 @@ void FDTree::SetMaxLhsSize(int k) {
 
 void FDTree::CheckInvariants() const {
   HYFD_CHECK(root_ != nullptr, "FDTree: missing root node");
-  CheckNodeInvariants(root_.get(), num_attributes_, 0, max_lhs_size_,
-                      AttributeSet(num_attributes_));
+  CheckNodeInvariants(root_.get(), num_attributes_, 0, max_lhs_size_);
+  // Per-RHS antichain: dropping any one LHS attribute must leave no stored
+  // generalization (every Y ⊊ X lies below some X \ {b}).
+  for (const FD& fd : ToFdSet()) {
+    ForEachBit(fd.lhs, [&](int b) {
+      HYFD_CHECK(!ContainsFdOrGeneralization(fd.lhs.Without(b), fd.rhs),
+                 "FDTree: FD stored below a stored generalization "
+                 "(non-minimal)");
+    });
+  }
 }
 
 }  // namespace hyfd

@@ -82,15 +82,41 @@ class FDTree {
   /// X ⊆ LHS. This is the minimality check of Inductor and Validator.
   bool ContainsFdOrGeneralization(const AttributeSet& lhs, int rhs) const;
 
-  /// Collects the LHSs of LHS' → rhs for all stored generalizations
-  /// LHS' ⊆ LHS (including LHS itself) — the Inductor's specialize() input.
-  std::vector<AttributeSet> GetFdAndGeneralizations(const AttributeSet& lhs,
-                                                    int rhs) const;
+  /// ContainsFdOrGeneralization restricted to the generalizations X ⊆ LHS
+  /// with `must` ∈ X; `lhs` must contain `must`. This is the minimality
+  /// check of a specialization LHS = Y ∪ {must} of a just-removed Y → rhs:
+  /// in a per-RHS antichain every other generalization lies inside Y, and
+  /// no proper subset of Y can be stored, so the restricted answer equals
+  /// the full one. Audit builds assert that equality, so callers must hold
+  /// that precondition.
+  bool ContainsFdOrGeneralizationWith(const AttributeSet& lhs, int rhs,
+                                      int must) const;
+
+  /// ContainsFdOrGeneralizationWith for every RHS of `rhss` in one walk:
+  /// returns the subset of `rhss` that has a stored generalization X ⊆ LHS
+  /// with `must` ∈ X. Same precondition, for each RHS.
+  AttributeSet FindGeneralizedRhssWith(const AttributeSet& lhs,
+                                       const AttributeSet& rhss,
+                                       int must) const;
+
+  /// One stored LHS and the RHSs it holds within a lookup's RHS mask.
+  struct LhsGroup {
+    AttributeSet lhs;
+    AttributeSet rhss;
+  };
+
+  /// Walks the tree once and returns, in depth-first order, every stored
+  /// LHS X ⊆ `lhs` with fds(X) ∩ `rhss` ≠ ∅, grouped with those RHSs. For a
+  /// non-FD's agree set and its complement these are exactly the FDs the
+  /// non-FD invalidates — the Inductor's specialization input.
+  std::vector<LhsGroup> GetGeneralizationGroups(const AttributeSet& lhs,
+                                                const AttributeSet& rhss) const;
 
   /// All nodes whose depth (LHS size) equals `level`, with their LHS.
   std::vector<LevelEntry> GetLevel(int level);
 
-  /// All stored FDs, canonicalized.
+  /// All stored FDs in canonical order. Depth equals LHS size, so the walk
+  /// buckets FDs by (rhs, depth) and only sorts within each bucket.
   FDSet ToFdSet() const;
 
   size_t CountFds() const;
@@ -134,12 +160,14 @@ class FDTree {
   /// attribute, `rhs_attrs` covers the node's own `fds` and every child's
   /// `rhs_attrs` (it may over-approximate after RemoveFd, never
   /// under-approximate), no node is deeper than the Guardian's LHS cap, and
-  /// no FD is stored below a stored generalization with the same RHS — the
-  /// path-minimality property the Inductor's and Validator's guarded adds
-  /// maintain. Throws ContractViolation on the first violation. Invoked
-  /// after each Inductor/Validator phase in audit builds (-DHYFD_AUDIT=ON);
-  /// callable from any build (but only meaningful for trees populated
-  /// through guarded adds — tests may legally store non-minimal FDs).
+  /// the stored FDs form a per-RHS antichain: no stored X → A has a stored
+  /// Y ⊊ X with Y → A, on the same path or not. The Inductor's and
+  /// Validator's guarded specializations maintain that property, and
+  /// ContainsFdOrGeneralizationWith relies on it. Throws ContractViolation
+  /// on the first violation. Invoked after each Inductor/Validator phase in
+  /// audit builds (-DHYFD_AUDIT=ON); callable from any build (but only
+  /// meaningful for trees populated through guarded adds — tests may legally
+  /// store non-minimal FDs).
   void CheckInvariants() const;
 
  private:

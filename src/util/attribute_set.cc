@@ -1,6 +1,5 @@
 #include "util/attribute_set.h"
 
-#include <bit>
 #include <sstream>
 
 namespace hyfd {
@@ -12,96 +11,15 @@ AttributeSet AttributeSet::Full(int num_attributes) {
 }
 
 void AttributeSet::SetAll() {
-  for (auto& w : words_) w = ~uint64_t{0};
-  // Clear the bits above num_bits_ in the last word.
-  int tail = num_bits_ & 63;
-  if (tail != 0 && !words_.empty()) {
-    words_.back() &= (uint64_t{1} << tail) - 1;
-  }
+  uint64_t* words = MutableWords();
+  const size_t n = num_words();
+  if (n == 0) return;
+  std::fill(words, words + n, ~uint64_t{0});
+  words[n - 1] &= TailMask();
 }
 
 void AttributeSet::Clear() {
-  for (auto& w : words_) w = 0;
-}
-
-int AttributeSet::Count() const {
-  int c = 0;
-  for (uint64_t w : words_) c += std::popcount(w);
-  return c;
-}
-
-bool AttributeSet::Empty() const {
-  for (uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-int AttributeSet::First() const {
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if (words_[i] != 0) {
-      return static_cast<int>(i * 64 + std::countr_zero(words_[i]));
-    }
-  }
-  return kNpos;
-}
-
-int AttributeSet::NextAfter(int i) const {
-  ++i;
-  if (i >= num_bits_) return kNpos;
-  size_t w = static_cast<size_t>(i) >> 6;
-  uint64_t word = words_[w] >> (i & 63);
-  if (word != 0) return i + std::countr_zero(word);
-  for (++w; w < words_.size(); ++w) {
-    if (words_[w] != 0) {
-      return static_cast<int>(w * 64 + std::countr_zero(words_[w]));
-    }
-  }
-  return kNpos;
-}
-
-bool AttributeSet::IsSubsetOf(const AttributeSet& other) const {
-  HYFD_DCHECK(num_bits_ == other.num_bits_, "AttributeSet size mismatch");
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
-  }
-  return true;
-}
-
-bool AttributeSet::IsProperSubsetOf(const AttributeSet& other) const {
-  return IsSubsetOf(other) && words_ != other.words_;
-}
-
-bool AttributeSet::Intersects(const AttributeSet& other) const {
-  HYFD_DCHECK(num_bits_ == other.num_bits_, "AttributeSet size mismatch");
-  for (size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
-  }
-  return false;
-}
-
-AttributeSet& AttributeSet::operator&=(const AttributeSet& other) {
-  HYFD_DCHECK(num_bits_ == other.num_bits_, "AttributeSet size mismatch");
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
-AttributeSet& AttributeSet::operator|=(const AttributeSet& other) {
-  HYFD_DCHECK(num_bits_ == other.num_bits_, "AttributeSet size mismatch");
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-AttributeSet& AttributeSet::operator^=(const AttributeSet& other) {
-  HYFD_DCHECK(num_bits_ == other.num_bits_, "AttributeSet size mismatch");
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
-  return *this;
-}
-
-AttributeSet& AttributeSet::AndNot(const AttributeSet& other) {
-  HYFD_DCHECK(num_bits_ == other.num_bits_, "AttributeSet size mismatch");
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
-  return *this;
+  std::fill(MutableWords(), MutableWords() + num_words(), uint64_t{0});
 }
 
 AttributeSet AttributeSet::Complement() const {
@@ -121,8 +39,9 @@ std::vector<int> AttributeSet::ToIndexes() const {
 size_t AttributeSet::Hash() const {
   // FNV-1a over the words; cheap and good enough for the non-FD hash set.
   size_t h = 1469598103934665603ull;
-  for (uint64_t w : words_) {
-    h ^= w;
+  const uint64_t* words = Words();
+  for (size_t w = 0; w < num_words(); ++w) {
+    h ^= words[w];
     h *= 1099511628211ull;
   }
   return h;

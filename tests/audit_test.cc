@@ -270,6 +270,15 @@ TEST(FdTreeAuditTest, FdBelowStoredGeneralizationFires) {
   EXPECT_THROW(tree.CheckInvariants(), ContractViolation);
 }
 
+TEST(FdTreeAuditTest, GeneralizationOffThePathFires) {
+  // {1} -> 0 generalizes {0,1} -> 0, but the path root-1 is not a prefix of
+  // root-0-1: the antichain check must look beyond path ancestors.
+  FDTree tree(3);
+  tree.AddFd(AttributeSet(3, {1}), 0);
+  tree.AddFd(AttributeSet(3, {0, 1}), 0);
+  EXPECT_THROW(tree.CheckInvariants(), ContractViolation);
+}
+
 TEST(FdTreeAuditTest, MalformedChildSlotsFire) {
   FDTree tree(3);
   tree.root()->children.resize(1);  // must be empty or one slot per attribute

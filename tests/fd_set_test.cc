@@ -1,6 +1,7 @@
 #include "fd/fd_set.h"
 
 #include "gtest/gtest.h"
+#include "util/check.h"
 
 namespace hyfd {
 namespace {
@@ -46,6 +47,22 @@ TEST(FDSetTest, CanonicalizeSortsAndDeduplicates) {
   ASSERT_EQ(set.size(), 2u);
   EXPECT_EQ(set[0], FD(Bits({0}), 1));
   EXPECT_EQ(set[1], FD(Bits({0, 2}), 1));
+}
+
+TEST(FDSetTest, CanonicalInputIsAdoptedAsIs) {
+  std::vector<FD> canonical = {FD(Bits({}), 0), FD(Bits({1}), 0),
+                               FD(Bits({2}), 0), FD(Bits({0, 1}), 2)};
+  FDSet adopted(canonical, FDSet::kCanonical);
+  EXPECT_EQ(adopted, FDSet(canonical));
+  EXPECT_EQ(adopted.fds(), canonical);
+}
+
+TEST(FDSetTest, NonCanonicalInputFiresUnderDchecks) {
+  if (!kDchecksEnabled) GTEST_SKIP() << "HYFD_DCHECK compiled out";
+  std::vector<FD> unsorted = {FD(Bits({1}), 0), FD(Bits({}), 0)};
+  EXPECT_THROW(FDSet(unsorted, FDSet::kCanonical), ContractViolation);
+  std::vector<FD> duplicated = {FD(Bits({1}), 0), FD(Bits({1}), 0)};
+  EXPECT_THROW(FDSet(duplicated, FDSet::kCanonical), ContractViolation);
 }
 
 TEST(FDSetTest, ContainsAndGeneralization) {

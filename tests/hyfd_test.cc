@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "baselines/fdep.h"
 #include "data/generators.h"
 #include "fd/reference.h"
 #include "gtest/gtest.h"
@@ -244,6 +245,30 @@ TEST(HyFdTest, ExtremeEfficiencyThresholdsStillCorrect) {
     testing::ExpectSameFds(expected, DiscoverFds(r, config),
                            "threshold " + std::to_string(threshold));
   }
+}
+
+// More than AttributeSet::kInlineBits columns: every LHS, agree set and
+// tree node bitset takes the heap path through the whole hybrid loop (the
+// ASan job runs this). Every tenth column varies; the rest are constant, so
+// the FD count stays small while LHSs reach attributes beyond 128.
+TEST(HyFdTest, HeapWideTableMatchesFdep) {
+  GeneratorConfig config;
+  config.rows = 20;
+  config.seed = 5;
+  for (int c = 0; c < 140; ++c) {
+    ColumnSpec spec;
+    spec.cardinality = c % 10 == 9 || c == 139 ? 4 : 1;
+    config.columns.push_back(spec);
+  }
+  Relation r = Generate(config);
+  ASSERT_GT(r.num_columns(), static_cast<size_t>(AttributeSet::kInlineBits));
+  FDSet expected = DiscoverFdsFdep(r);
+  EXPECT_GT(expected.size(), 140u);
+  testing::ExpectSameFds(expected, DiscoverFds(r), "heap-wide HyFD");
+  HyFdConfig mt;
+  mt.num_threads = 4;
+  testing::ExpectSameFds(expected, DiscoverFds(r, mt),
+                         "heap-wide HyFD, 4 threads");
 }
 
 // The main property sweep: HyFD equals brute force on many random relations

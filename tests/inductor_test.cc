@@ -1,7 +1,12 @@
 #include "core/inductor.h"
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "fd/fd_tree.h"
 #include "gtest/gtest.h"
+#include "legacy_inductor.h"
 
 namespace hyfd {
 namespace {
@@ -119,6 +124,84 @@ TEST(InductorTest, FullAgreeSetChangesNothing) {
   FDSet before = tree.ToFdSet();
   inductor.Update({AttributeSet::Full(3)});
   EXPECT_EQ(tree.ToFdSet(), before);
+}
+
+// ---------------------------------------------------------------------------
+// Differential against the frozen per-RHS Inductor (tests/legacy_inductor.h).
+// Each agree set misses 1-4 attributes of a 12-attribute pool spread over
+// [0, m), so the cover stays small at every width while LHSs still reach the
+// highest attributes (m = 130 runs on heap-backed sets). Audit builds also
+// check every restricted generalization lookup against the full one.
+// ---------------------------------------------------------------------------
+
+std::vector<AttributeSet> RandomNonFds(int m, const std::vector<int>& pool,
+                                       size_t count, std::mt19937_64* rng) {
+  std::vector<AttributeSet> out;
+  for (size_t i = 0; i < count; ++i) {
+    AttributeSet agree = AttributeSet::Full(m);
+    const size_t misses = 1 + (*rng)() % std::min<size_t>(4, pool.size());
+    for (size_t k = 0; k < misses; ++k) agree.Reset(pool[(*rng)() % pool.size()]);
+    out.push_back(agree);
+  }
+  return out;
+}
+
+class InductorOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(InductorOracleTest, MatchesLegacyPerRhsInductor) {
+  const int m = GetParam();
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed * 7919 + static_cast<uint64_t>(m));
+    std::vector<int> pool(static_cast<size_t>(m));
+    for (int i = 0; i < m; ++i) pool[static_cast<size_t>(i)] = i;
+    std::shuffle(pool.begin(), pool.end(), rng);
+    pool.resize(std::min<size_t>(pool.size(), 12));
+    if (std::find(pool.begin(), pool.end(), m - 1) == pool.end()) {
+      pool.back() = m - 1;
+    }
+
+    FDTree tree(m);
+    FDTree oracle_tree(m);
+    // Odd seeds run under a Guardian-style LHS cap.
+    if (seed % 2 == 1) {
+      tree.SetMaxLhsSize(3);
+      oracle_tree.SetMaxLhsSize(3);
+    }
+    Inductor inductor(&tree);
+    legacy::LegacyInductor oracle(&oracle_tree);
+    for (int batch = 0; batch < 4; ++batch) {
+      std::vector<AttributeSet> non_fds = RandomNonFds(m, pool, 25, &rng);
+      inductor.Update(non_fds);
+      oracle.Update(non_fds);
+      ASSERT_EQ(tree.ToFdSet(), oracle_tree.ToFdSet()) << "batch " << batch;
+      EXPECT_EQ(tree.CountNodes(), oracle_tree.CountNodes()) << "batch " << batch;
+      EXPECT_NO_THROW(tree.CheckInvariants()) << "batch " << batch;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, InductorOracleTest,
+                         ::testing::Values(5, 38, 70, 130));
+
+TEST(InductorTest, ReportsUpdateMetrics) {
+  FDTree tree(4);
+  MetricsRegistry metrics;
+  Inductor inductor(&tree, &metrics);
+  inductor.Update({Agree({3}), Agree({0, 1})});
+  uint64_t invalidated = 0;
+  uint64_t checks = 0;
+  bool timed = false;
+  for (const auto& [name, value] : metrics.Export()) {
+    if (name == "inductor.fds_invalidated") invalidated = value;
+    if (name == "inductor.generalization_checks") checks = value;
+    if (name == "inductor.update_ns") timed = true;
+  }
+  // The longer {0,1} folds first and invalidates ∅ -> 2 and ∅ -> 3; {3}
+  // then invalidates ∅ -> 0, ∅ -> 1 and the fresh specialization {3} -> 2.
+  EXPECT_EQ(invalidated, 5u);
+  EXPECT_GT(checks, 0u);
+  EXPECT_TRUE(timed);
 }
 
 }  // namespace

@@ -64,8 +64,11 @@ TEST_P(FdTreeModelTest, MatchesNaiveModel) {
         EXPECT_EQ(tree.ContainsFd(fd.lhs, fd.rhs), naive_exact);
         EXPECT_EQ(tree.ContainsFdOrGeneralization(fd.lhs, fd.rhs),
                   naive_general);
-        // GetFdAndGeneralizations returns exactly the generalizations.
-        auto gens = tree.GetFdAndGeneralizations(fd.lhs, fd.rhs);
+        // The grouped lookup restricted to {rhs} returns exactly the
+        // generalizations.
+        AttributeSet only_rhs(m);
+        only_rhs.Set(fd.rhs);
+        auto gens = tree.GetGeneralizationGroups(fd.lhs, only_rhs);
         size_t naive_count = 0;
         for (const FD& g : model) {
           if (g.Generalizes(fd)) ++naive_count;

@@ -303,6 +303,14 @@ TEST(RunReportSweepTest, EveryRegistryAlgorithmEmitsValidReport) {
     auto parsed = RunReport::FromJson(report.ToJson());
     ASSERT_TRUE(parsed.has_value()) << algo.name;
     EXPECT_EQ(*parsed, report) << algo.name;
+    if (algo.name == "hyfd") {
+      // The Inductor reports its time and its work.
+      for (const char* counter :
+           {"inductor.update_ns", "inductor.fds_invalidated",
+            "inductor.generalization_checks"}) {
+        EXPECT_GT(report.FindCounter(counter).value_or(0), 0u) << counter;
+      }
+    }
   }
 
   // A pooled HyFd run splits the Sampler's time into its steps. Windows of
