@@ -1,6 +1,8 @@
 // Smoke test for the run-report layer, run in CI's default job: every
 // discoverer in the registry plus HyUCC runs on a small dataset and must
-// emit a schema-valid run report with non-empty phase timings. One extra
+// emit a schema-valid run report with non-empty phase timings. An
+// incremental session (seed plus one mixed CRUD batch) must report its
+// Sampler, Validator and Inductor counters as well. One extra
 // HyFD run under a 1-byte memory budget checks that a guardian-pruned
 // (truncated) result is machine-detectable as incomplete — the silent
 // truncation this observability layer exists to prevent.
@@ -12,12 +14,15 @@
 // Flags: --rows=N (default 300), --cols=N (default 8), --outdir=DIR.
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/hyfd.h"
 #include "core/hyucc.h"
+#include "core/incremental.h"
 #include "data/datasets.h"
 #include "data/generators.h"
 #include "util/memory_tracker.h"
@@ -54,6 +59,28 @@ bool CheckReport(const RunReport& report, const char* label) {
     ok = false;
   }
   return ok;
+}
+
+/// Requires counter `name` to be present and positive in `report`.
+bool CheckPositiveCounter(const RunReport& report, const char* label,
+                          const char* name) {
+  if (report.FindCounter(name).value_or(0) > 0) return true;
+  std::fprintf(stderr, "FAIL %s: counter %s missing or zero\n", label, name);
+  return false;
+}
+
+/// Row `r` of `relation` as a session input row.
+std::vector<std::optional<std::string>> RowOf(const Relation& relation,
+                                              size_t r) {
+  std::vector<std::optional<std::string>> row;
+  for (int c = 0; c < relation.num_columns(); ++c) {
+    if (relation.IsNull(r, c)) {
+      row.emplace_back(std::nullopt);
+    } else {
+      row.emplace_back(relation.Value(r, c));
+    }
+  }
+  return row;
 }
 
 bool WriteReport(const RunReport& report, const std::string& path) {
@@ -118,6 +145,38 @@ int main(int argc, char** argv) {
     algo.Discover(relation);
     ok = CheckReport(report, "hyucc") && ok;
     ok = WriteReport(report, outdir + "/REPORT_hyucc.json") && ok;
+  }
+
+  // Incremental session: the seed samples, and a mixed batch (inserts that
+  // repeat existing rows' values, deletes, one update) validates and
+  // specializes through the Inductor; both reports carry those counters.
+  {
+    RunReport report;
+    report.dataset = "bridges";
+    IncrementalConfig config;
+    config.run_report = &report;
+    IncrementalHyFd session(relation, config);
+    ok = CheckReport(report, "hyfd_incremental seed") && ok;
+    ok = CheckPositiveCounter(report, "hyfd_incremental seed",
+                              "sampler.windows") && ok;
+    std::vector<std::vector<std::optional<std::string>>> inserts;
+    for (size_t r = 0; r < 10 && r < relation.num_rows(); ++r) {
+      inserts.push_back(RowOf(relation, r));
+    }
+    std::vector<RecordId> deletes;
+    for (size_t r = 10; r < 15 && r < relation.num_rows(); ++r) {
+      deletes.push_back(static_cast<RecordId>(r));
+    }
+    std::vector<std::pair<RecordId, std::vector<std::optional<std::string>>>>
+        updates;
+    if (relation.num_rows() > 16) updates.emplace_back(15, RowOf(relation, 16));
+    session.ApplyMixed(inserts, deletes, updates);
+    ok = CheckReport(report, "hyfd_incremental") && ok;
+    for (const char* name : {"validator.levels", "inductor.updates",
+                             "incremental.batches"}) {
+      ok = CheckPositiveCounter(report, "hyfd_incremental", name) && ok;
+    }
+    ok = WriteReport(report, outdir + "/REPORT_hyfd_incremental.json") && ok;
   }
 
   // Guardian-pruned run: a 1-byte budget forces pruning on FD-reduced data;

@@ -99,36 +99,12 @@ inline RunReport* InitRunReport(const AlgoOptions& options,
                                 const Relation& relation) {
   RunReport* report = options.run_report;
   if (report == nullptr) return nullptr;
-  std::string dataset = std::move(report->dataset);  // harness-owned label
-  *report = RunReport{};
-  report->dataset = std::move(dataset);
-  report->algorithm = algorithm;
-  report->rows = relation.num_rows();
-  report->columns = relation.num_columns();
+  RunReport fresh;
+  fresh.algorithm = algorithm;
+  fresh.rows = relation.num_rows();
+  fresh.columns = relation.num_columns();
+  PublishRunReport(&fresh, report);  // keeps the harness-owned label
   return report;
-}
-
-/// Finalizes a run report: result size, wall time, and — when a tracker was
-/// attached — the peak footprint broken down by component.
-inline void FinishRunReport(RunReport* report, size_t result_count,
-                            double total_seconds,
-                            const MemoryTracker* tracker) {
-  if (report == nullptr) return;
-  report->result_count = result_count;
-  report->total_seconds = total_seconds;
-  if (tracker != nullptr) {
-    report->peak_memory_bytes = tracker->peak_bytes();
-    report->memory_components.clear();
-    for (int c = 0; c < MemoryTracker::kNumComponents; ++c) {
-      size_t bytes = tracker->component_bytes(c);
-      if (bytes > 0) {
-        report->memory_components.emplace_back(MemoryTracker::ComponentName(c),
-                                               bytes);
-      }
-    }
-    std::sort(report->memory_components.begin(),
-              report->memory_components.end());
-  }
 }
 
 }  // namespace hyfd

@@ -218,7 +218,7 @@ FDSet DiscoverFdsDfd(const Relation& relation, const AlgoOptions& options) {
     report->AddPhase("preprocess", phase_timer.ElapsedSeconds());
     phase_timer.Restart();
   }
-  PliCache::Counters cache_before = store->counters();
+  const PliCacheDelta cache_delta(store);
 
   int rhs_searches = 0;
   for (int rhs = 0; rhs < m; ++rhs) {
@@ -234,10 +234,7 @@ FDSet DiscoverFdsDfd(const Relation& relation, const AlgoOptions& options) {
   if (report != nullptr) {
     report->AddPhase("random_walk", phase_timer.ElapsedSeconds());
     report->SetCounter("dfd.rhs_searches", static_cast<uint64_t>(rhs_searches));
-    PliCache::Counters after = store->counters();
-    report->pli_cache_hits = after.hits - cache_before.hits;
-    report->pli_cache_misses = after.misses - cache_before.misses;
-    report->pli_cache_evictions = after.evictions - cache_before.evictions;
+    cache_delta.Record(report);
   }
   FinishRunReport(report, result.size(), total_timer.ElapsedSeconds(),
                   options.memory_tracker);

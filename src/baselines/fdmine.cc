@@ -93,8 +93,7 @@ FDSet DiscoverFdsFdMine(const Relation& relation, const AlgoOptions& options) {
     report->AddPhase("build_plis", phase_timer.ElapsedSeconds());
     phase_timer.Restart();
   }
-  PliCache::Counters cache_before;
-  if (cache != nullptr) cache_before = cache->counters();
+  const PliCacheDelta cache_delta(cache);
 
   int levels = 0;
   while (!current.empty()) {
@@ -178,12 +177,7 @@ FDSet DiscoverFdsFdMine(const Relation& relation, const AlgoOptions& options) {
   if (report != nullptr) {
     report->AddPhase("lattice_traversal", phase_timer.ElapsedSeconds());
     report->SetCounter("fd_mine.levels", static_cast<uint64_t>(levels));
-    if (cache != nullptr) {
-      PliCache::Counters after = cache->counters();
-      report->pli_cache_hits = after.hits - cache_before.hits;
-      report->pli_cache_misses = after.misses - cache_before.misses;
-      report->pli_cache_evictions = after.evictions - cache_before.evictions;
-    }
+    cache_delta.Record(report);
   }
   FinishRunReport(report, result.size(), total_timer.ElapsedSeconds(),
                   options.memory_tracker);

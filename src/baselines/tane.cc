@@ -87,8 +87,7 @@ FDSet DiscoverFdsTane(const Relation& relation, const AlgoOptions& options) {
     report->AddPhase("build_plis", phase_timer.ElapsedSeconds());
     phase_timer.Restart();
   }
-  PliCache::Counters cache_before;
-  if (cache != nullptr) cache_before = cache->counters();
+  const PliCacheDelta cache_delta(cache);
 
   int level_number = 1;
   while (!current.empty()) {
@@ -201,12 +200,7 @@ FDSet DiscoverFdsTane(const Relation& relation, const AlgoOptions& options) {
   if (report != nullptr) {
     report->AddPhase("lattice_traversal", phase_timer.ElapsedSeconds());
     report->SetCounter("tane.levels", static_cast<uint64_t>(level_number - 1));
-    if (cache != nullptr) {
-      PliCache::Counters after = cache->counters();
-      report->pli_cache_hits = after.hits - cache_before.hits;
-      report->pli_cache_misses = after.misses - cache_before.misses;
-      report->pli_cache_evictions = after.evictions - cache_before.evictions;
-    }
+    cache_delta.Record(report);
   }
   FinishRunReport(report, result.size(), total_timer.ElapsedSeconds(),
                   options.memory_tracker);

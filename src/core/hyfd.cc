@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/guardian.h"
+#include "core/hybrid_loop.h"
 #include "core/inductor.h"
 #include "core/preprocessor.h"
 #include "core/validator.h"
@@ -90,8 +91,7 @@ FDSet HyFd::Discover(const Relation& relation) {
     }
     cache = owned_cache_.get();
   }
-  PliCache::Counters cache_before;
-  if (cache != nullptr) cache_before = cache->counters();
+  const PliCacheDelta cache_delta(cache);
 
   // One pool serves both phases (paper §10.4): the Sampler's cluster-pair
   // comparisons and the Validator's refinement checks. Each ParallelFor*
@@ -109,48 +109,38 @@ FDSet HyFd::Discover(const Relation& relation) {
   Validator validator(&data, &tree, config_.efficiency_threshold, pool.get(),
                       cache, &metrics);
 
-  // The hybrid loop (paper Figure 2): Phase 1 = Sampler + Inductor,
-  // Phase 2 = Validator; alternate until the Validator exhausts the lattice.
-  std::vector<std::pair<RecordId, RecordId>> suggestions;
-  while (true) {
-    timer.Restart();
-    if (config_.enable_sampling) {
-      auto new_non_fds = sampler.Run(suggestions);
-      inductor.Update(std::move(new_non_fds));
-    } else {
-      inductor.Update({});  // ablation: start from ∅ -> R, Validator only
-    }
-    stats_.sampling_seconds += timer.ElapsedSeconds();
-    // Audit seam: the Inductor just rewrote the positive cover.
-    HYFD_AUDIT_ONLY(tree.CheckInvariants());
+  // Both phases end with the memory accounting: the guardian may prune the
+  // tree, and the tracker records the phase's footprint.
+  auto account = [&] {
     guardian.Check(&tree, sampler.NegativeCoverBytes() + data.MemoryBytes());
     if (tracker != nullptr) {
       tracker->SetComponent(MemoryTracker::kNegativeCover,
                             sampler.NegativeCoverBytes());
       tracker->SetComponent(MemoryTracker::kFdTree, tree.MemoryBytes());
     }
-
-    timer.Restart();
-    ValidatorResult vr = validator.Run();
-    stats_.validation_seconds += timer.ElapsedSeconds();
-    // Audit seam: the Validator pruned invalid FDs and specialized them.
-    HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    guardian.Check(&tree, sampler.NegativeCoverBytes() + data.MemoryBytes());
-    if (tracker != nullptr) {
-      tracker->SetComponent(MemoryTracker::kFdTree, tree.MemoryBytes());
-    }
-    if (vr.done) break;
-    ++stats_.phase_switches;  // Phase 2 pausing and re-entering Phase 1
-    suggestions = std::move(vr.comparison_suggestions);
-  }
+  };
+  // Phase 1 = Sampler + Inductor, Phase 2 = Validator (paper Figure 2).
+  const HybridLoopOutcome loop = RunHybridLoop(
+      &tree,
+      [&](RecordPairs suggestions) {
+        // The ablation without sampling starts from ∅ -> R and leaves the
+        // lattice to the Validator alone.
+        inductor.Update(config_.enable_sampling ? sampler.Run(suggestions)
+                                                : std::vector<AttributeSet>{});
+        account();
+      },
+      [&] {
+        ValidatorResult result = validator.Run();
+        account();
+        return result;
+      });
+  loop.AddTo(&stats_);
 
   HYFD_AUDIT_ONLY(if (cache != nullptr) cache->CheckInvariants());
-  if (cache != nullptr) {
-    PliCache::Counters after = cache->counters();
-    stats_.pli_cache_hits = after.hits - cache_before.hits;
-    stats_.pli_cache_misses = after.misses - cache_before.misses;
-    stats_.pli_cache_evictions = after.evictions - cache_before.evictions;
-  }
+  const PliCache::Counters cache_used = cache_delta.Record(&report_);
+  stats_.pli_cache_hits = cache_used.hits;
+  stats_.pli_cache_misses = cache_used.misses;
+  stats_.pli_cache_evictions = cache_used.evictions;
   stats_.comparisons = sampler.total_comparisons();
   stats_.non_fds = sampler.num_non_fds();
   stats_.validations = validator.total_validations();
@@ -173,8 +163,6 @@ FDSet HyFd::Discover(const Relation& relation) {
   report_.rows = data.num_records;
   report_.columns = data.num_attributes;
   report_.result_kind = "fds";
-  report_.result_count = result.size();
-  report_.total_seconds = total_timer.ElapsedSeconds();
   report_.AddPhase("preprocess", stats_.preprocess_seconds);
   report_.AddPhase("sampling", stats_.sampling_seconds);
   report_.AddPhase("validation", stats_.validation_seconds);
@@ -195,21 +183,6 @@ FDSet HyFd::Discover(const Relation& relation) {
   report_.guardian_overrun_bytes = stats_.guardian_overrun_bytes;
   report_.external_cache_rejected = stats_.external_cache_rejected;
   report_.external_cache_rejection_reason = stats_.external_cache_rejection_reason;
-  report_.pli_cache_hits = stats_.pli_cache_hits;
-  report_.pli_cache_misses = stats_.pli_cache_misses;
-  report_.pli_cache_evictions = stats_.pli_cache_evictions;
-  if (tracker != nullptr) {
-    report_.peak_memory_bytes = tracker->peak_bytes();
-    for (int c = 0; c < MemoryTracker::kNumComponents; ++c) {
-      size_t bytes = tracker->component_bytes(c);
-      if (bytes > 0) {
-        report_.memory_components.emplace_back(MemoryTracker::ComponentName(c),
-                                               bytes);
-      }
-    }
-    std::sort(report_.memory_components.begin(),
-              report_.memory_components.end());
-  }
   report_.MergeMetrics(metrics);
   report_.SetCounter("hyfd.phase_switches",
                      static_cast<uint64_t>(stats_.phase_switches));
@@ -218,13 +191,9 @@ FDSet HyFd::Discover(const Relation& relation) {
   report_.SetCounter("hyfd.validations", stats_.validations);
   report_.SetCounter("hyfd.levels_validated",
                      static_cast<uint64_t>(stats_.levels_validated));
-  if (config_.run_report != nullptr) {
-    // Preserve harness-owned labeling (dataset name) across the overwrite.
-    std::string dataset = std::move(config_.run_report->dataset);
-    *config_.run_report = report_;
-    config_.run_report->dataset = std::move(dataset);
-    report_.dataset = config_.run_report->dataset;
-  }
+  FinishRunReport(&report_, result.size(), total_timer.ElapsedSeconds(),
+                  tracker);
+  PublishRunReport(&report_, config_.run_report);
   return result;
 }
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/hybrid_loop.h"
 #include "core/preprocessor.h"
 #include "core/refine_kernel.h"
 #include "fd/fd_tree.h"
@@ -21,26 +22,32 @@ namespace {
 /// generalization machinery carries over unchanged.
 constexpr int kUccMarker = 0;
 
+/// Adds the minimal extensions of the just-removed non-unique candidate
+/// `lhs` by one attribute of `attrs` (disjoint from `lhs`). Each extension
+/// only needs the generalizations that contain the new attribute: the
+/// candidates form an antichain and `lhs` itself is gone.
+void ExtendCandidate(FDTree* tree, const AttributeSet& lhs,
+                     const AttributeSet& attrs) {
+  ForEachBit(attrs, [&](int attr) {
+    AttributeSet extended = lhs.With(attr);
+    if (!tree->ContainsFdOrGeneralizationWith(extended, kUccMarker, attr)) {
+      tree->AddFd(extended, kUccMarker);
+    }
+  });
+}
+
 /// Specializes the candidate tree with one non-unique set (an agree set):
 /// every candidate contained in it is not unique; extend minimally. One
-/// tree walk finds the candidates; each extension only needs the
-/// generalizations that contain the new attribute (the candidates form an
-/// antichain and the extended one was just removed).
+/// tree walk finds the candidates.
 void SpecializeUcc(FDTree* tree, const AttributeSet& agree) {
   AttributeSet marker(tree->num_attributes());
   marker.Set(kUccMarker);
+  // Attributes inside the agree set keep the pair agreeing.
   const AttributeSet outside = agree.Complement();
   for (const FDTree::LhsGroup& group :
        tree->GetGeneralizationGroups(agree, marker)) {
     tree->RemoveFd(group.lhs, kUccMarker);
-    // Attributes inside the agree set keep the pair agreeing.
-    ForEachBit(outside, [&](int attr) {
-      AttributeSet extended = group.lhs.With(attr);
-      if (tree->ContainsFdOrGeneralizationWith(extended, kUccMarker, attr)) {
-        return;
-      }
-      tree->AddFd(extended, kUccMarker);
-    });
+    ExtendCandidate(tree, group.lhs, outside);
   }
 }
 
@@ -120,79 +127,60 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   Sampler sampler(&data, config_.efficiency_threshold, config_.sampling_strategy,
                   pool.get(), &metrics);
 
-  std::vector<std::pair<RecordId, RecordId>> suggestions;
   RefineArena arena;  // one reusable grouping scratch for the whole run
   int current_level = 0;
-  Timer timer;
-  while (true) {
-    // ---- Phase 1: sample violations, specialize the candidate tree. ------
-    timer.Restart();
-    // The same violating pair can be suggested by several invalidated
-    // candidates of one level; replaying duplicates only inflates the
-    // comparison count (the agree set is already in the negative cover).
-    std::sort(suggestions.begin(), suggestions.end());
-    suggestions.erase(std::unique(suggestions.begin(), suggestions.end()),
-                      suggestions.end());
-    auto new_agree_sets = sampler.Run(suggestions);
-    suggestions.clear();
-    std::sort(new_agree_sets.begin(), new_agree_sets.end(),
-              [](const AttributeSet& a, const AttributeSet& b) {
-                return a.Count() > b.Count();
-              });
-    for (const AttributeSet& agree : new_agree_sets) {
-      SpecializeUcc(&tree, agree);
-    }
-    // Audit seam: the candidate tree was just specialized from samples.
-    HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    stats_.sampling_seconds += timer.ElapsedSeconds();
-
-    // ---- Phase 2: validate level-wise until done or inefficient. ---------
-    timer.Restart();
-    bool done = false;
-    while (true) {
-      auto level = tree.GetLevel(current_level);
-      if (level.empty()) {
-        done = true;
-        break;
-      }
-      size_t num_valid = 0;
-      std::vector<AttributeSet> invalid;
-      for (auto& entry : level) {
-        if (!entry.node->fds.Test(kUccMarker)) continue;
-        ++stats_.validations;
-        std::pair<RecordId, RecordId> violation;
-        if (IsUnique(data, entry.lhs, &arena, &violation)) {
-          ++num_valid;
-          continue;
+  const HybridLoopOutcome loop = RunHybridLoop(
+      &tree,
+      // Phase 1: sample violations, specialize the candidate tree.
+      [&](RecordPairs suggestions) {
+        // The same violating pair can be suggested by several invalidated
+        // candidates of one level; replaying duplicates only inflates the
+        // comparison count (the agree set is already in the negative cover).
+        std::sort(suggestions.begin(), suggestions.end());
+        suggestions.erase(std::unique(suggestions.begin(), suggestions.end()),
+                          suggestions.end());
+        // Sampler::Run returns the sets longest first (canonical order),
+        // which keeps the candidate tree small during specialization.
+        for (const AttributeSet& agree : sampler.Run(suggestions)) {
+          SpecializeUcc(&tree, agree);
         }
-        entry.node->fds.Reset(kUccMarker);
-        invalid.push_back(entry.lhs);
-        suggestions.push_back(violation);
-      }
-      for (const AttributeSet& lhs : invalid) {
-        for (int attr = 0; attr < m; ++attr) {
-          if (lhs.Test(attr)) continue;
-          AttributeSet extended = lhs.With(attr);
-          if (tree.ContainsFdOrGeneralizationWith(extended, kUccMarker, attr)) {
-            continue;
+      },
+      // Phase 2: validate level-wise until done or inefficient.
+      [&] {
+        ValidatorResult result;
+        while (true) {
+          auto level = tree.GetLevel(current_level);
+          if (level.empty()) {
+            result.done = true;
+            return result;
           }
-          tree.AddFd(extended, kUccMarker);
+          size_t num_valid = 0;
+          std::vector<AttributeSet> invalid;
+          for (auto& entry : level) {
+            if (!entry.node->fds.Test(kUccMarker)) continue;
+            ++stats_.validations;
+            std::pair<RecordId, RecordId> violation;
+            if (IsUnique(data, entry.lhs, &arena, &violation)) {
+              ++num_valid;
+              continue;
+            }
+            entry.node->fds.Reset(kUccMarker);
+            invalid.push_back(entry.lhs);
+            result.comparison_suggestions.push_back(violation);
+          }
+          for (const AttributeSet& lhs : invalid) {
+            ExtendCandidate(&tree, lhs, lhs.Complement());
+          }
+          ++current_level;
+          metrics.GetCounter("validator.levels")->Add(1);
+          if (static_cast<double>(invalid.size()) >
+              config_.efficiency_threshold * static_cast<double>(num_valid)) {
+            return result;  // inefficient: go sample the violating pairs
+          }
         }
-      }
-      ++current_level;
-      ++stats_.levels_validated;
-      metrics.GetCounter("validator.levels")->Add(1);
-      if (static_cast<double>(invalid.size()) >
-          config_.efficiency_threshold * static_cast<double>(num_valid)) {
-        break;  // inefficient: go sample the violating pairs
-      }
-    }
-    // Audit seam: validation pruned non-unique candidates and extended them.
-    HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    stats_.validation_seconds += timer.ElapsedSeconds();
-    if (done) break;
-    ++stats_.phase_switches;
-  }
+      });
+  loop.AddTo(&stats_);
+  stats_.levels_validated = current_level;
 
   stats_.comparisons = sampler.total_comparisons();
   std::vector<AttributeSet> uccs;
@@ -208,8 +196,6 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   report_.rows = data.num_records;
   report_.columns = data.num_attributes;
   report_.result_kind = "uccs";
-  report_.result_count = uccs.size();
-  report_.total_seconds = total_timer.ElapsedSeconds();
   report_.AddPhase("sampling", stats_.sampling_seconds);
   report_.AddPhase("validation", stats_.validation_seconds);
   report_.MergeMetrics(metrics);
@@ -217,12 +203,9 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
                      static_cast<uint64_t>(stats_.phase_switches));
   report_.SetCounter("hyucc.comparisons", stats_.comparisons);
   report_.SetCounter("hyucc.validations", stats_.validations);
-  if (config_.run_report != nullptr) {
-    std::string dataset = std::move(config_.run_report->dataset);
-    *config_.run_report = report_;
-    config_.run_report->dataset = std::move(dataset);
-    report_.dataset = config_.run_report->dataset;
-  }
+  FinishRunReport(&report_, uccs.size(), total_timer.ElapsedSeconds(),
+                  nullptr);
+  PublishRunReport(&report_, config_.run_report);
   return uccs;
 }
 

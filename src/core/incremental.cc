@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "core/hybrid_loop.h"
 #include "core/sampler.h"
 #include "util/check.h"
 #include "util/timer.h"
@@ -18,8 +19,6 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
   HYFD_AUDIT_ONLY(relation_.CheckInvariants());
 
   Timer total_timer;
-  data_ = Preprocess(relation_, config_.null_semantics);
-
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(config_.num_threads));
@@ -30,27 +29,18 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
     cache_config.thread_safe = config_.num_threads > 1;
     // Singles-less shape (as HyFd's owned cache): only Validator-assembled
     // LHS partitions are stored, and — unlike a pinned-singles cache — it
-    // can legally re-bind to the grown data after every batch.
-    cache_ = std::make_unique<PliCache>(data_.num_attributes,
-                                        data_.num_records, cache_config,
+    // can legally re-bind to the grown data after every batch. Seed() binds
+    // it to the data.
+    cache_ = std::make_unique<PliCache>(relation_.num_columns(),
+                                        relation_.num_rows(), cache_config,
                                         config_.null_semantics);
-    cache_->Rebind(DataFingerprint(relation_, data_.records),
-                   data_.num_records);
   }
-  inductor_ = std::make_unique<Inductor>(&tree_);
-
-  PliCache::Counters cache_before;
-  if (cache_ != nullptr) cache_before = cache_->counters();
-  live_.assign(relation_.num_rows(), 1);
-  num_live_rows_ = relation_.num_rows();
-  RunInitialDiscovery();
-  BuildColumnStates();
-  identity_epoch_ = relation_.IdentityEpoch();
+  const PliCacheDelta cache_delta(cache_.get());
+  Seed();
 
   // stats_ keeps the seeding run's sampling/validation attribution (it was
   // zeroed here once, which made the seed report claim zero work).
-  stats_.num_fds = fds_.size();
-  FillReport(total_timer.ElapsedSeconds(), cache_before);
+  FillReport(total_timer.ElapsedSeconds(), cache_delta);
 }
 
 void IncrementalHyFd::Reseed() {
@@ -61,85 +51,70 @@ void IncrementalHyFd::Reseed() {
     // relation.
     relation_ = LiveRelation();
   }
-  live_.assign(relation_.num_rows(), 1);
-  num_live_rows_ = relation_.num_rows();
 
   // Discovery attribution restarts from zero: stats_ already carries this
   // batch's identity (batch_rows, deleted_rows, append timing), and the full
   // re-discovery below must not stack on top of in-flight counters.
-  stats_.reseeded = true;
-  stats_.touched_clusters = 0;
-  stats_.fds_invalidated = 0;
-  stats_.fds_revalidated = 0;
-  stats_.generalization_candidates = 0;
-  stats_.fds_generalized = 0;
-  stats_.validations = 0;
-  stats_.comparisons = 0;
-  stats_.phase_switches = 0;
-  stats_.sampling_seconds = 0;
-  stats_.validation_seconds = 0;
+  stats_ = IncrementalBatchStats{.batch_rows = stats_.batch_rows,
+                                 .deleted_rows = stats_.deleted_rows,
+                                 .reseeded = true,
+                                 .append_seconds = stats_.append_seconds};
+  Seed();
+}
 
+void IncrementalHyFd::Seed() {
+  live_.assign(relation_.num_rows(), 1);
+  num_live_rows_ = relation_.num_rows();
   data_ = Preprocess(relation_, config_.null_semantics);
   tree_ = FDTree(relation_.num_columns());
   negative_cover_.clear();
-  // A fresh Inductor re-seeds the most general FDs ∅ → A on its first
-  // Update over the fresh tree.
-  inductor_ = std::make_unique<Inductor>(&tree_);
+  // A fresh Inductor seeds the most general FDs ∅ → A on its first Update
+  // over the fresh tree.
+  inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
   if (cache_ != nullptr) {
     cache_->Rebind(DataFingerprint(relation_, data_.records),
                    data_.num_records);
   }
-  RunInitialDiscovery();
-  BuildColumnStates();
-  identity_epoch_ = relation_.IdentityEpoch();
-}
 
-void IncrementalHyFd::RunInitialDiscovery() {
-  // The hybrid loop of HyFd::Discover, minus the memory guardian (a pruned
-  // tree would silently break the incremental equivalence guarantee, so the
-  // session never prunes). The persistent Inductor seeds ∅ → A on its first
-  // Update; the Validator stamps `confirmed` on everything it proves, which
-  // is exactly the seed state ApplyBatch needs.
-  Timer timer;
+  // HyFd::Discover's phases, minus the memory guardian (a pruned tree would
+  // silently break the incremental equivalence guarantee, so the session
+  // never prunes), plus the witnesses: every fresh agree set enters the
+  // witnessed cover with its record pair. The Validator stamps `confirmed` on
+  // everything it proves, which is exactly the seed state ApplyBatch needs.
+  metrics_.Reset();
   Sampler sampler(&data_, config_.efficiency_threshold,
-                  SamplingStrategy::kClusterWindowing, pool_.get());
+                  SamplingStrategy::kClusterWindowing, pool_.get(), &metrics_);
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get());
-  std::vector<std::pair<RecordId, RecordId>> suggestions;
-  ValidatorResult vr;
-  while (true) {
-    timer.Restart();
-    auto new_non_fds = sampler.RunWithWitnesses(suggestions);
-    std::vector<AttributeSet> batch;
-    batch.reserve(new_non_fds.size());
-    for (SampledNonFd& found : new_non_fds) {
-      negative_cover_.emplace(found.agree, std::make_pair(found.a, found.b));
-      batch.push_back(std::move(found.agree));
-    }
-    inductor_->Update(std::move(batch));
-    stats_.sampling_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-
-    timer.Restart();
-    vr = validator.Run();
-    stats_.validation_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-    if (vr.done) break;
-    ++stats_.phase_switches;
-    suggestions = std::move(vr.comparison_suggestions);
-  }
+                      pool_.get(), cache_.get(), &metrics_);
+  HybridLoopOutcome loop = RunHybridLoop(
+      &tree_,
+      [&](RecordPairs suggestions) {
+        std::vector<SampledNonFd> found = sampler.RunWithWitnesses(suggestions);
+        std::vector<AttributeSet> batch;
+        batch.reserve(found.size());
+        for (SampledNonFd& non_fd : found) {
+          negative_cover_.emplace(non_fd.agree,
+                                  std::make_pair(non_fd.a, non_fd.b));
+          batch.push_back(std::move(non_fd.agree));
+        }
+        inductor_->Update(std::move(batch));
+      },
+      [&] { return validator.Run(); });
+  loop.AddTo(&stats_);
   stats_.comparisons = sampler.total_comparisons();
   stats_.validations = validator.total_validations();
   // Fold the final pass's violation suggestions into the witnessed cover.
   // The tree is already settled (any agree set these pairs produce can only
   // restate known constraints), but the extra witnesses keep more of the
   // cover alive across future deletes.
-  MatchPairs(std::move(vr.comparison_suggestions));
+  MatchPairs(std::move(loop.last_suggestions));
 
   // The Validator confirmed every node it settled; make the seed state
   // explicit (and audited) regardless of the path that produced it.
   tree_.ConfirmAll();
   fds_ = tree_.ToFdSet();
+  BuildColumnStates();
+  identity_epoch_ = relation_.IdentityEpoch();
 }
 
 void IncrementalHyFd::BuildColumnStates() {
@@ -272,8 +247,7 @@ void IncrementalHyFd::GrowDerivedState(size_t old_n, size_t new_n,
   });
 }
 
-std::vector<AttributeSet> IncrementalHyFd::MatchPairs(
-    std::vector<std::pair<RecordId, RecordId>> pairs) {
+std::vector<AttributeSet> IncrementalHyFd::MatchPairs(RecordPairs pairs) {
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   std::vector<AttributeSet> new_non_fds;
@@ -388,12 +362,11 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   stats_ = IncrementalBatchStats{};
   stats_.batch_rows = inserts.size() + updates.size();
   stats_.deleted_rows = dead.size();
-  PliCache::Counters cache_before;
-  if (cache_ != nullptr) cache_before = cache_->counters();
+  metrics_.Reset();
+  const PliCacheDelta cache_delta(cache_.get());
 
   if (inserts.empty() && updates.empty() && dead.empty()) {
-    stats_.num_fds = fds_.size();
-    FillReport(total_timer.ElapsedSeconds(), cache_before);
+    FillReport(total_timer.ElapsedSeconds(), cache_delta);
     return fds_;
   }
 
@@ -419,8 +392,7 @@ const FDSet& IncrementalHyFd::ApplyCrud(
     // also compacts away this batch's tombstones.
     stats_.append_seconds = timer.ElapsedSeconds();
     Reseed();
-    stats_.num_fds = fds_.size();
-    FillReport(total_timer.ElapsedSeconds(), cache_before);
+    FillReport(total_timer.ElapsedSeconds(), cache_delta);
     return fds_;
   }
 
@@ -440,14 +412,14 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   const FDSet fds_before = dead.empty() ? FDSet{} : fds_;
   if (!dead.empty()) RepairCoverAfterDeletes();
 
-  // --- 3. Targeted sampling: only pairs involving a new row. ---------------
+  // --- 3. Targeted pairs: only pairs involving a new row. -----------------
   // Within each touched cluster, every new member (ids ≥ old_n sort to the
   // tail) is matched against its predecessor and against the cluster's first
   // record — the same neighbor heuristic cluster-windowing starts from, here
   // restricted to windows that contain a new row. Completeness of the final
   // FD set never depends on this selection (the Validator settles every
   // candidate); it only seeds the negative cover cheaply.
-  std::vector<std::pair<RecordId, RecordId>> pairs;
+  RecordPairs pairs;
   for (int c = 0; c < data_.num_attributes; ++c) {
     const auto& clusters = data_.plis[static_cast<size_t>(c)].clusters();
     for (uint32_t ci : delta.touched[static_cast<size_t>(c)]) {
@@ -463,44 +435,34 @@ const FDSet& IncrementalHyFd::ApplyCrud(
       }
     }
   }
-  size_t confirmed_before = tree_.CountConfirmedFds();
-  inductor_->Update(MatchPairs(std::move(pairs)));
-  stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
   stats_.sampling_seconds += timer.ElapsedSeconds();
-  HYFD_AUDIT_ONLY(tree_.CheckInvariants());
 
   // --- 4. Hybrid loop seeded from the (repaired) tree. ---------------------
-  // FDs with a surviving proof take the restricted touched-clusters check —
-  // on a pure-delete batch every touched list is empty, so they validate at
+  // Phase 1 matches exactly the pairs it is given — first the targeted
+  // pairs, then the Validator's violation suggestions, which already
+  // pinpoint the disagreeing pairs, instead of a fresh sampling sweep. FDs
+  // with a surviving proof take the restricted touched-clusters check — on
+  // a pure-delete batch every touched list is empty, so they validate at
   // zero scan cost; generalization candidates and freshly specialized
-  // candidates get the full check. Phase switches replay the Validator's
-  // violation suggestions through the Inductor instead of a fresh sampling
-  // sweep — the suggestions already pinpoint the disagreeing pairs.
+  // candidates get the full check.
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get());
+                      pool_.get(), cache_.get(), &metrics_);
   validator.set_delta(&delta);
-  ValidatorResult vr;
-  while (true) {
-    timer.Restart();
-    vr = validator.Run();
-    stats_.validation_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-    if (vr.done) break;
-    ++stats_.phase_switches;
-    timer.Restart();
-    confirmed_before = tree_.CountConfirmedFds();
-    inductor_->Update(MatchPairs(std::move(vr.comparison_suggestions)));
-    stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
-    stats_.sampling_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-  }
+  HybridLoopOutcome loop = RunHybridLoop(
+      &tree_,
+      [&](RecordPairs suggestions) {
+        stats_.fds_invalidated +=
+            inductor_->Update(MatchPairs(std::move(suggestions)));
+      },
+      [&] { return validator.Run(); }, std::move(pairs));
+  loop.AddTo(&stats_);
   stats_.fds_invalidated += validator.delta_invalidated();
   stats_.fds_revalidated = validator.restricted_validations();
   stats_.validations = validator.total_validations();
   // Fold the final pass's violation suggestions into the witnessed cover
   // (tree no-op — the loop is settled — but richer witnesses survive more
   // future deletes).
-  MatchPairs(std::move(vr.comparison_suggestions));
+  MatchPairs(std::move(loop.last_suggestions));
   HYFD_AUDIT_ONLY(if (cache_ != nullptr) cache_->CheckInvariants());
 
   fds_ = tree_.ToFdSet();
@@ -509,8 +471,7 @@ const FDSet& IncrementalHyFd::ApplyCrud(
       if (!fds_before.Contains(fd)) ++stats_.fds_generalized;
     }
   }
-  stats_.num_fds = fds_.size();
-  FillReport(total_timer.ElapsedSeconds(), cache_before);
+  FillReport(total_timer.ElapsedSeconds(), cache_delta);
   return fds_;
 }
 
@@ -645,19 +606,13 @@ void IncrementalHyFd::RepairCoverAfterDeletes() {
   // any old one.
   FDTree old_tree = std::move(tree_);
   tree_ = FDTree(data_.num_attributes);
-  inductor_ = std::make_unique<Inductor>(&tree_);
+  inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
   std::vector<AttributeSet> kept;
   kept.reserve(negative_cover_.size());
   for (const auto& [agree, witness] : negative_cover_) kept.push_back(agree);
   // Canonical order (as Sampler::Run emits) so the rebuilt tree never
   // depends on hash-map iteration order.
-  std::sort(kept.begin(), kept.end(),
-            [](const AttributeSet& a, const AttributeSet& b) {
-              const int ca = a.Count();
-              const int cb = b.Count();
-              if (ca != cb) return ca > cb;
-              return a < b;
-            });
+  std::sort(kept.begin(), kept.end(), CanonicalAgreeSetOrder);
   inductor_->Update(std::move(kept));
 
   // Transfer proofs: an FD with a confirmed generalization in the old tree
@@ -682,7 +637,8 @@ const FDSet& IncrementalHyFd::ApplyBatchStrings(
 }
 
 void IncrementalHyFd::FillReport(double total_seconds,
-                                 const PliCache::Counters& cache_before) {
+                                 const PliCacheDelta& cache_delta) {
+  stats_.num_fds = fds_.size();
   report_ = RunReport{};
   report_.algorithm = "hyfd_incremental";
   report_.rows = data_.num_records;
@@ -695,14 +651,11 @@ void IncrementalHyFd::FillReport(double total_seconds,
   report_.AddPhase("validation", stats_.validation_seconds);
   // No guardian and no result pruning in a session: the answer is complete
   // by construction (the equivalence guarantee depends on it).
+  const PliCache::Counters cache_used = cache_delta.Record(&report_);
   if (cache_ != nullptr) {
-    const PliCache::Counters after = cache_->counters();
-    report_.pli_cache_hits = after.hits - cache_before.hits;
-    report_.pli_cache_misses = after.misses - cache_before.misses;
-    report_.pli_cache_evictions = after.evictions - cache_before.evictions;
-    report_.SetCounter("incremental.cache_stale_drops",
-                       after.stale_drops - cache_before.stale_drops);
+    report_.SetCounter("incremental.cache_stale_drops", cache_used.stale_drops);
   }
+  report_.MergeMetrics(metrics_);
   report_.SetCounter("incremental.batches",
                      static_cast<uint64_t>(num_batches_));
   report_.SetCounter("incremental.batch_rows", stats_.batch_rows);
@@ -719,13 +672,7 @@ void IncrementalHyFd::FillReport(double total_seconds,
   report_.SetCounter("incremental.comparisons", stats_.comparisons);
   report_.SetCounter("incremental.phase_switches",
                      static_cast<uint64_t>(stats_.phase_switches));
-  if (config_.run_report != nullptr) {
-    // Preserve harness-owned labeling (dataset name) across the overwrite.
-    std::string dataset = std::move(config_.run_report->dataset);
-    *config_.run_report = report_;
-    config_.run_report->dataset = std::move(dataset);
-    report_.dataset = config_.run_report->dataset;
-  }
+  PublishRunReport(&report_, config_.run_report);
 }
 
 }  // namespace hyfd

@@ -20,6 +20,7 @@
 #include "pli/pli_builder.h"
 #include "pli/pli_cache.h"
 #include "util/attribute_set.h"
+#include "util/metrics.h"
 #include "util/run_report.h"
 #include "util/thread_pool.h"
 
@@ -241,10 +242,12 @@ class IncrementalHyFd {
     RecordId null_record = 0;
   };
 
-  void RunInitialDiscovery();
+  /// Builds every piece of derived state (PLIs, compressed records, tree,
+  /// witnessed negative cover, column indexes) from relation_ — all rows
+  /// live — and runs the seeding discovery into fds_.
+  void Seed();
   void BuildColumnStates();
-  /// Discards every piece of derived state (PLIs, compressed records, tree,
-  /// negative cover, column indexes) and re-runs discovery on the current
+  /// Discards every piece of derived state and re-seeds from the current
   /// relation. The escape hatch for batches that change value identity
   /// retroactively (IdentityEpoch() moved): stale clusters cannot be grown,
   /// they must be rebuilt. If rows are tombstoned, the relation is first
@@ -279,12 +282,16 @@ class IncrementalHyFd {
   /// Matches record pairs (deduplicated) against the compressed records and
   /// returns the agree sets not yet in the session's negative cover; fresh
   /// ones are recorded in the cover with their witnessing pair.
-  std::vector<AttributeSet> MatchPairs(
-      std::vector<std::pair<RecordId, RecordId>> pairs);
-  void FillReport(double total_seconds,
-                  const PliCache::Counters& cache_before);
+  std::vector<AttributeSet> MatchPairs(RecordPairs pairs);
+  /// Stamps stats_.num_fds, rebuilds report_ from stats_, the metrics
+  /// registry and the cache activity since `cache_delta`'s snapshot, and
+  /// mirrors it to config_.run_report.
+  void FillReport(double total_seconds, const PliCacheDelta& cache_delta);
 
   IncrementalConfig config_;
+  /// Sampler, Inductor and Validator counters of the current seed, reseed
+  /// or batch (Reset() at the start of each); merged into report_.
+  MetricsRegistry metrics_;
   Relation relation_;
   PreprocessedData data_;
   FDTree tree_;

@@ -12,7 +12,7 @@ Inductor::Inductor(FDTree* tree, MetricsRegistry* metrics)
   }
 }
 
-void Inductor::Update(std::vector<AttributeSet> new_non_fds) {
+size_t Inductor::Update(std::vector<AttributeSet> new_non_fds) {
   ScopedMetricTimer timer(update_timer_);
   if (!initialized_) {
     tree_->AddMostGeneralFds();
@@ -26,6 +26,7 @@ void Inductor::Update(std::vector<AttributeSet> new_non_fds) {
             });
   uint64_t invalidated = 0;
   uint64_t checks = 0;
+  size_t confirmed_invalidated = 0;
   for (const AttributeSet& agree : new_non_fds) {
     // Every zero bit is the RHS of a violated FD X -> rhs with X ⊆ agree.
     // An extension attribute must lie outside the agree set as well: one
@@ -33,8 +34,9 @@ void Inductor::Update(std::vector<AttributeSet> new_non_fds) {
     const AttributeSet outside = agree.Complement();
     for (const FDTree::LhsGroup& group :
          tree_->GetGeneralizationGroups(agree, outside)) {
-      ForEachBit(group.rhss,
-                 [&](int rhs) { tree_->RemoveFd(group.lhs, rhs); });
+      ForEachBit(group.rhss, [&](int rhs) {
+        if (tree_->RemoveFd(group.lhs, rhs)) ++confirmed_invalidated;
+      });
       invalidated += static_cast<uint64_t>(group.rhss.Count());
       ForEachBit(outside, [&](int attr) {
         // Trivial FDs are never candidates.
@@ -54,6 +56,7 @@ void Inductor::Update(std::vector<AttributeSet> new_non_fds) {
     metrics_->GetCounter("inductor.fds_invalidated")->Add(invalidated);
     metrics_->GetCounter("inductor.generalization_checks")->Add(checks);
   }
+  return confirmed_invalidated;
 }
 
 }  // namespace hyfd

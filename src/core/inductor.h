@@ -1,6 +1,7 @@
 #ifndef HYFD_CORE_INDUCTOR_H_
 #define HYFD_CORE_INDUCTOR_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "fd/fd_tree.h"
@@ -35,8 +36,10 @@ class Inductor {
 
   /// Folds `new_non_fds` into the candidate tree. Sorting by descending
   /// cardinality (longest agree sets first) keeps the tree small during
-  /// specialization (paper §7).
-  void Update(std::vector<AttributeSet> new_non_fds);
+  /// specialization (paper §7). Returns how many of the removed FDs were
+  /// confirmed (FDTree::Node::confirmed): the previously-proven FDs this
+  /// update invalidated, which IncrementalHyFd reports as fds_invalidated.
+  size_t Update(std::vector<AttributeSet> new_non_fds);
 
  private:
   FDTree* tree_;

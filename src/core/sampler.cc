@@ -237,8 +237,7 @@ void Sampler::RunRandom(std::vector<SampledNonFd>* new_non_fds) {
   }
 }
 
-std::vector<AttributeSet> Sampler::Run(
-    const std::vector<std::pair<RecordId, RecordId>>& suggestions) {
+std::vector<AttributeSet> Sampler::Run(const RecordPairs& suggestions) {
   std::vector<SampledNonFd> found = RunWithWitnesses(suggestions);
   std::vector<AttributeSet> new_non_fds;
   new_non_fds.reserve(found.size());
@@ -247,7 +246,7 @@ std::vector<AttributeSet> Sampler::Run(
 }
 
 std::vector<SampledNonFd> Sampler::RunWithWitnesses(
-    const std::vector<std::pair<RecordId, RecordId>>& suggestions) {
+    const RecordPairs& suggestions) {
   std::vector<SampledNonFd> new_non_fds;
   if (!initialized_) {
     initialized_ = true;
@@ -279,17 +278,13 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
   } else {
     RunRandom(&new_non_fds);
   }
-  // Canonical batch order: descending bit count (the Inductor specializes
-  // longest-first anyway), ties lexicographic. Agree sets in a batch are
-  // distinct, so the order is total. The witnesses riding along are
+  // Canonical batch order (CanonicalAgreeSetOrder). Agree sets in a batch
+  // are distinct, so the order is total. The witnesses riding along are
   // canonical too: each is the first pair in comparison order that
   // produced its set (see SampledNonFd).
   std::sort(new_non_fds.begin(), new_non_fds.end(),
             [](const SampledNonFd& a, const SampledNonFd& b) {
-              const int ca = a.agree.Count();
-              const int cb = b.agree.Count();
-              if (ca != cb) return ca > cb;
-              return a.agree < b.agree;
+              return CanonicalAgreeSetOrder(a.agree, b.agree);
             });
   return new_non_fds;
 }

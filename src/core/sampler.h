@@ -22,6 +22,16 @@ enum class SamplingStrategy {
   kRandomPairs,
 };
 
+/// The canonical order of a batch of agree sets: descending bit count (the
+/// Inductor specializes longest-first anyway), ties lexicographic.
+inline bool CanonicalAgreeSetOrder(const AttributeSet& a,
+                                   const AttributeSet& b) {
+  const int ca = a.Count();
+  const int cb = b.Count();
+  if (ca != cb) return ca > cb;
+  return a < b;
+}
+
 /// A freshly discovered non-FD agree set together with the record pair that
 /// witnessed it. The incremental session keys its witnessed negative cover on
 /// these: when a witness row dies (DeleteRows/UpdateRows) the agree set can
@@ -70,14 +80,12 @@ class Sampler {
   /// phase, sorted by descending bit count then lexicographically (the order
   /// the Inductor wants, and a canonical order independent of the thread
   /// count).
-  std::vector<AttributeSet> Run(
-      const std::vector<std::pair<RecordId, RecordId>>& suggestions);
+  std::vector<AttributeSet> Run(const RecordPairs& suggestions);
 
   /// Same phase as Run(), but keeps the witnessing record pair of every
   /// newly discovered agree set (IncrementalHyFd's witnessed negative
   /// cover). The agree-set batch and all counters are identical to Run()'s.
-  std::vector<SampledNonFd> RunWithWitnesses(
-      const std::vector<std::pair<RecordId, RecordId>>& suggestions);
+  std::vector<SampledNonFd> RunWithWitnesses(const RecordPairs& suggestions);
 
   size_t total_comparisons() const { return total_comparisons_; }
   size_t num_non_fds() const { return non_fds_.size(); }

@@ -346,12 +346,10 @@ ValidatorResult Validator::Run() {
   // does bump total_comparisons() — which drifted the comparison statistics
   // (and sampling efficiency) upward on every phase switch. Canonical
   // sort + unique keeps the suggestion list deterministic for any thread
-  // count and replay-minimal.
+  // count and replay-minimal. Every level merge below dedups, so the list
+  // is final whenever Run() returns.
   auto finalize_suggestions = [this, &result, &raw_emitted] {
-    auto& suggestions = result.comparison_suggestions;
-    std::sort(suggestions.begin(), suggestions.end());
-    suggestions.erase(std::unique(suggestions.begin(), suggestions.end()),
-                      suggestions.end());
+    const auto& suggestions = result.comparison_suggestions;
     if (metrics_ != nullptr) {
       metrics_->GetCounter("validator.suggestions")->Add(suggestions.size());
       metrics_->GetCounter("validator.suggestions_deduped")
@@ -449,7 +447,6 @@ ValidatorResult Validator::Run() {
     }
 
     ++current_level_number_;
-    ++levels_validated_;
     if (metrics_ != nullptr) {
       metrics_->GetCounter("validator.levels")->Add(1);
       metrics_->GetCounter("validator.candidates")->Add(level.size());

@@ -26,7 +26,7 @@ struct ValidatorResult {
   /// replaying it more than once would inflate the Sampler's
   /// total_comparisons() — and with it every efficiency figure — without
   /// ever discovering a new agree set.
-  std::vector<std::pair<RecordId, RecordId>> comparison_suggestions;
+  RecordPairs comparison_suggestions;
 };
 
 /// HyFD's Validator component (paper §8, Algorithm 4).
@@ -82,22 +82,18 @@ class Validator {
   size_t restricted_validations() const { return restricted_validations_; }
   /// Previously-confirmed FDs the current batch invalidated.
   size_t delta_invalidated() const { return delta_invalidated_; }
-  /// The lattice level the next Run() call would validate first — also the
-  /// count of levels fully validated so far, since validation starts at
-  /// level 0 (LHS size 0) and the cursor advances only after a level
-  /// completes. Audited: the two readings coincide; see levels_validated().
-  int current_level() const { return current_level_number_; }
   /// Number of lattice levels fully validated (LHS sizes 0 through
-  /// levels_validated() - 1). Maintained as its own counter so the stat
-  /// cannot drift from the traversal cursor if the traversal order ever
-  /// changes; the deepest validated LHS size is levels_validated() - 1,
-  /// NOT levels_validated() — the historical off-by-one misreading.
-  int levels_validated() const { return levels_validated_; }
+  /// levels_validated() - 1). This is the traversal cursor itself — the
+  /// level the next Run() validates first — since validation starts at
+  /// level 0 and the cursor advances only after a level completes. The
+  /// deepest validated LHS size is levels_validated() - 1, NOT
+  /// levels_validated() — the historical off-by-one misreading.
+  int levels_validated() const { return current_level_number_; }
 
  private:
   struct RefineOutcome {
     AttributeSet valid_rhss;
-    std::vector<std::pair<RecordId, RecordId>> suggestions;
+    RecordPairs suggestions;
   };
 
   /// Validates one lattice level on the refinement kernel: plans one
@@ -126,7 +122,6 @@ class Validator {
   /// across every cluster, node, and level — the hot path never allocates.
   std::vector<RefineArena> arenas_;
   int current_level_number_ = 0;
-  int levels_validated_ = 0;
   size_t total_validations_ = 0;
   size_t restricted_validations_ = 0;
   size_t delta_invalidated_ = 0;

@@ -122,6 +122,7 @@ class ByteReader {
     HYFD_CHECK(n <= (buffer_.size() - pos_) / sizeof(uint32_t),
                "table_io: truncated table (read past end of payload)");
     std::vector<uint32_t> values(n);
+    if (n == 0) return values;  // values.data() may be null: no memcpy
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(values.data(), buffer_.data() + pos_, n * sizeof(uint32_t));
       pos_ += n * sizeof(uint32_t);

@@ -8,16 +8,19 @@
 namespace hyfd {
 namespace {
 
-/// Recursive helper for ContainsFdOrGeneralization: scan subsets of the
-/// remaining LHS bits (after `from`) along existing tree paths.
+/// Recursive helper for ContainsFdOrGeneralization (kBits = fds) and
+/// ContainsConfirmedFdOrGeneralization (kBits = confirmed): scan subsets of
+/// the remaining LHS bits (after `from`) along existing tree paths. The
+/// rhs_attrs pruning holds for both: confirmed ⊆ fds ⊆ rhs_attrs.
+template <AttributeSet FDTree::Node::*kBits>
 bool FindGeneralization(const FDTree::Node* node, const AttributeSet& lhs,
                         int rhs, int from) {
-  if (node->fds.Test(rhs)) return true;
+  if ((node->*kBits).Test(rhs)) return true;
   if (!node->rhs_attrs.Test(rhs)) return false;
   for (int attr = lhs.NextAfter(from); attr != AttributeSet::kNpos;
        attr = lhs.NextAfter(attr)) {
     const FDTree::Node* child = node->Child(attr);
-    if (child != nullptr && FindGeneralization(child, lhs, rhs, attr)) {
+    if (child != nullptr && FindGeneralization<kBits>(child, lhs, rhs, attr)) {
       return true;
     }
   }
@@ -76,117 +79,36 @@ void CollectLevel(FDTree::Node* node, int remaining, AttributeSet* path,
   }
 }
 
-/// Calls `fn(lhs, depth, rhs)` for every stored FD, depth first; `depth` is
-/// the LHS size.
+/// Calls `fn(node, lhs, depth)` for every node, depth first in ascending
+/// attribute order; `lhs` is the LHS the node's path spells and `depth` its
+/// size. NodeT is FDTree::Node or const FDTree::Node.
+template <typename NodeT, typename Fn>
+void ForEachNodeRec(NodeT* node, size_t depth, AttributeSet* path, Fn& fn) {
+  fn(*node, static_cast<const AttributeSet&>(*path), depth);
+  if (node->children.empty()) return;
+  for (size_t attr = 0; attr < node->children.size(); ++attr) {
+    NodeT* child = node->children[attr].get();
+    if (child == nullptr) continue;
+    path->Set(static_cast<int>(attr));
+    ForEachNodeRec(child, depth + 1, path, fn);
+    path->Reset(static_cast<int>(attr));
+  }
+}
+
+template <typename NodeT, typename Fn>
+void ForEachNode(NodeT* root, int num_attributes, Fn fn) {
+  AttributeSet path(num_attributes);
+  ForEachNodeRec(root, 0, &path, fn);
+}
+
+/// Sums `value(node)` over every node of the subtree (no path bookkeeping).
 template <typename Fn>
-void ForEachFdRec(const FDTree::Node* node, size_t depth, AttributeSet* path,
-                  Fn& fn) {
-  ForEachBit(node->fds, [&](int rhs) { fn(*path, depth, rhs); });
-  if (node->children.empty()) return;
-  for (size_t attr = 0; attr < node->children.size(); ++attr) {
-    const FDTree::Node* child = node->children[attr].get();
-    if (child == nullptr) continue;
-    path->Set(static_cast<int>(attr));
-    ForEachFdRec(child, depth + 1, path, fn);
-    path->Reset(static_cast<int>(attr));
-  }
-}
-
-size_t CountFdsRec(const FDTree::Node* node) {
-  size_t n = static_cast<size_t>(node->fds.Count());
+size_t SumOverNodes(const FDTree::Node* node, const Fn& value) {
+  size_t sum = value(*node);
   for (const auto& child : node->children) {
-    if (child) n += CountFdsRec(child.get());
+    if (child) sum += SumOverNodes(child.get(), value);
   }
-  return n;
-}
-
-size_t CountConfirmedFdsRec(const FDTree::Node* node) {
-  size_t n = static_cast<size_t>(node->confirmed.Count());
-  for (const auto& child : node->children) {
-    if (child) n += CountConfirmedFdsRec(child.get());
-  }
-  return n;
-}
-
-void ConfirmAllRec(FDTree::Node* node) {
-  node->confirmed = node->fds;
-  for (const auto& child : node->children) {
-    if (child) ConfirmAllRec(child.get());
-  }
-}
-
-/// Recursive twin of FindGeneralization over the `confirmed` bits. The
-/// rhs_attrs pruning stays valid: confirmed ⊆ fds ⊆ rhs_attrs.
-bool FindConfirmedGeneralization(const FDTree::Node* node,
-                                 const AttributeSet& lhs, int rhs, int from) {
-  if (node->confirmed.Test(rhs)) return true;
-  if (!node->rhs_attrs.Test(rhs)) return false;
-  for (int attr = lhs.NextAfter(from); attr != AttributeSet::kNpos;
-       attr = lhs.NextAfter(attr)) {
-    const FDTree::Node* child = node->Child(attr);
-    if (child != nullptr && FindConfirmedGeneralization(child, lhs, rhs, attr)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void ConfirmFromRec(FDTree::Node* node, AttributeSet* path,
-                    const FDTree& proven) {
-  ForEachBit(node->fds, [&](int rhs) {
-    if (proven.ContainsConfirmedFdOrGeneralization(*path, rhs)) {
-      node->confirmed.Set(rhs);
-    }
-  });
-  if (node->children.empty()) return;
-  for (size_t attr = 0; attr < node->children.size(); ++attr) {
-    FDTree::Node* child = node->children[attr].get();
-    if (child == nullptr) continue;
-    path->Set(static_cast<int>(attr));
-    ConfirmFromRec(child, path, proven);
-    path->Reset(static_cast<int>(attr));
-  }
-}
-
-void CollectUnconfirmedRec(const FDTree::Node* node, AttributeSet* path,
-                           std::vector<FD>* out) {
-  ForEachBit(node->fds, [&](int rhs) {
-    if (!node->confirmed.Test(rhs)) out->emplace_back(*path, rhs);
-  });
-  if (node->children.empty()) return;
-  for (size_t attr = 0; attr < node->children.size(); ++attr) {
-    const FDTree::Node* child = node->children[attr].get();
-    if (child == nullptr) continue;
-    path->Set(static_cast<int>(attr));
-    CollectUnconfirmedRec(child, path, out);
-    path->Reset(static_cast<int>(attr));
-  }
-}
-
-size_t CountNodesRec(const FDTree::Node* node) {
-  size_t n = 1;
-  for (const auto& child : node->children) {
-    if (child) n += CountNodesRec(child.get());
-  }
-  return n;
-}
-
-int DepthRec(const FDTree::Node* node) {
-  int depth = 0;
-  for (const auto& child : node->children) {
-    if (child) depth = std::max(depth, 1 + DepthRec(child.get()));
-  }
-  return depth;
-}
-
-size_t MemoryBytesRec(const FDTree::Node* node) {
-  size_t bytes = sizeof(FDTree::Node) + node->fds.MemoryBytes() +
-                 node->rhs_attrs.MemoryBytes() + node->confirmed.MemoryBytes() +
-                 node->children.capacity() * sizeof(std::unique_ptr<FDTree::Node>);
-  for (const auto& child : node->children) {
-    if (child) bytes += MemoryBytesRec(child.get());
-  }
-  return bytes;
+  return sum;
 }
 
 /// Recursive structural audit for FDTree::CheckInvariants.
@@ -282,17 +204,19 @@ FDTree::Node* FDTree::AddFdAndGetIfNewNode(const AttributeSet& lhs, int rhs,
   return created_node ? node : nullptr;
 }
 
-void FDTree::RemoveFd(const AttributeSet& lhs, int rhs) {
+bool FDTree::RemoveFd(const AttributeSet& lhs, int rhs) {
   Node* node = root_.get();
   for (int attr = lhs.First(); attr != AttributeSet::kNpos;
        attr = lhs.NextAfter(attr)) {
     node = node->Child(attr);
-    if (node == nullptr) return;
+    if (node == nullptr) return false;
   }
+  const bool was_confirmed = node->confirmed.Test(rhs);
   node->fds.Reset(rhs);
   node->confirmed.Reset(rhs);
   // rhs_attrs along the path may now over-approximate; that only costs lookup
   // time, never correctness, so we do not recompute it here.
+  return was_confirmed;
 }
 
 bool FDTree::ContainsFd(const AttributeSet& lhs, int rhs) const {
@@ -306,7 +230,7 @@ bool FDTree::ContainsFd(const AttributeSet& lhs, int rhs) const {
 }
 
 bool FDTree::ContainsFdOrGeneralization(const AttributeSet& lhs, int rhs) const {
-  return FindGeneralization(root_.get(), lhs, rhs, -1);
+  return FindGeneralization<&Node::fds>(root_.get(), lhs, rhs, -1);
 }
 
 bool FDTree::ContainsFdOrGeneralizationWith(const AttributeSet& lhs, int rhs,
@@ -358,19 +282,21 @@ FDSet FDTree::ToFdSet() const {
   };
   // next[b] starts as the first slot of bucket b and ends one past its last.
   std::vector<size_t> next(static_cast<size_t>(num_attributes_) * depths + 1, 0);
-  AttributeSet path(num_attributes_);
-  auto count = [&](const AttributeSet&, size_t depth, int rhs) {
-    ++next[bucket(depth, rhs) + 1];
-  };
-  ForEachFdRec(root_.get(), 0, &path, count);
+  ForEachNode(root_.get(), num_attributes_,
+              [&](const Node& node, const AttributeSet&, size_t depth) {
+                ForEachBit(node.fds,
+                           [&](int rhs) { ++next[bucket(depth, rhs) + 1]; });
+              });
   std::partial_sum(next.begin(), next.end(), next.begin());
   std::vector<FD> fds(next.back());
-  auto place = [&](const AttributeSet& lhs, size_t depth, int rhs) {
-    FD& fd = fds[next[bucket(depth, rhs)]++];
-    fd.lhs = lhs;
-    fd.rhs = rhs;
-  };
-  ForEachFdRec(root_.get(), 0, &path, place);
+  ForEachNode(root_.get(), num_attributes_,
+              [&](const Node& node, const AttributeSet& lhs, size_t depth) {
+                ForEachBit(node.fds, [&](int rhs) {
+                  FD& fd = fds[next[bucket(depth, rhs)]++];
+                  fd.lhs = lhs;
+                  fd.rhs = rhs;
+                });
+              });
   size_t begin = 0;
   for (size_t b = 0; b + 1 < next.size(); ++b) {
     std::sort(fds.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -381,33 +307,70 @@ FDSet FDTree::ToFdSet() const {
   return FDSet(std::move(fds), FDSet::kCanonical);
 }
 
-size_t FDTree::CountFds() const { return CountFdsRec(root_.get()); }
-size_t FDTree::CountConfirmedFds() const {
-  return CountConfirmedFdsRec(root_.get());
+size_t FDTree::CountFds() const {
+  return SumOverNodes(root_.get(), [](const Node& node) {
+    return static_cast<size_t>(node.fds.Count());
+  });
 }
-void FDTree::ConfirmAll() { ConfirmAllRec(root_.get()); }
+
+size_t FDTree::CountConfirmedFds() const {
+  return SumOverNodes(root_.get(), [](const Node& node) {
+    return static_cast<size_t>(node.confirmed.Count());
+  });
+}
+
+void FDTree::ConfirmAll() {
+  ForEachNode(root_.get(), num_attributes_,
+              [](Node& node, auto&&...) { node.confirmed = node.fds; });
+}
 
 bool FDTree::ContainsConfirmedFdOrGeneralization(const AttributeSet& lhs,
                                                  int rhs) const {
-  return FindConfirmedGeneralization(root_.get(), lhs, rhs, -1);
+  return FindGeneralization<&Node::confirmed>(root_.get(), lhs, rhs, -1);
 }
 
 void FDTree::ConfirmFrom(const FDTree& proven) {
   HYFD_CHECK(proven.num_attributes() == num_attributes_,
              "FDTree::ConfirmFrom: attribute counts disagree");
-  AttributeSet path(num_attributes_);
-  ConfirmFromRec(root_.get(), &path, proven);
+  ForEachNode(root_.get(), num_attributes_,
+              [&](Node& node, const AttributeSet& lhs, size_t) {
+                ForEachBit(node.fds, [&](int rhs) {
+                  if (proven.ContainsConfirmedFdOrGeneralization(lhs, rhs)) {
+                    node.confirmed.Set(rhs);
+                  }
+                });
+              });
 }
 
 std::vector<FD> FDTree::CollectGeneralizationCandidates() const {
   std::vector<FD> out;
-  AttributeSet path(num_attributes_);
-  CollectUnconfirmedRec(root_.get(), &path, &out);
+  ForEachNode(root_.get(), num_attributes_,
+              [&](const Node& node, const AttributeSet& lhs, size_t) {
+                ForEachBit(node.fds, [&](int rhs) {
+                  if (!node.confirmed.Test(rhs)) out.emplace_back(lhs, rhs);
+                });
+              });
   return out;
 }
-size_t FDTree::CountNodes() const { return CountNodesRec(root_.get()); }
-int FDTree::Depth() const { return DepthRec(root_.get()); }
-size_t FDTree::MemoryBytes() const { return MemoryBytesRec(root_.get()); }
+
+size_t FDTree::CountNodes() const {
+  return SumOverNodes(root_.get(), [](const Node&) { return size_t{1}; });
+}
+
+int FDTree::Depth() const {
+  size_t depth = 0;
+  ForEachNode(root_.get(), num_attributes_,
+              [&](auto&&, auto&&, size_t d) { depth = std::max(depth, d); });
+  return static_cast<int>(depth);
+}
+
+size_t FDTree::MemoryBytes() const {
+  return SumOverNodes(root_.get(), [](const Node& node) {
+    return sizeof(Node) + node.fds.MemoryBytes() +
+           node.rhs_attrs.MemoryBytes() + node.confirmed.MemoryBytes() +
+           node.children.capacity() * sizeof(std::unique_ptr<Node>);
+  });
+}
 
 void FDTree::SetMaxLhsSize(int k) {
   max_lhs_size_ = k;

@@ -73,8 +73,10 @@ class FDTree {
   /// `added` says whether the FD itself was new.
   Node* AddFdAndGetIfNewNode(const AttributeSet& lhs, int rhs, bool* added);
 
-  /// Removes LHS → rhs if present (exact match).
-  void RemoveFd(const AttributeSet& lhs, int rhs);
+  /// Removes LHS → rhs if present (exact match). Returns true iff the
+  /// removed FD was confirmed (Node::confirmed) — a previously-proven FD
+  /// that the caller just invalidated.
+  bool RemoveFd(const AttributeSet& lhs, int rhs);
 
   bool ContainsFd(const AttributeSet& lhs, int rhs) const;
 

@@ -10,6 +10,9 @@ namespace hyfd {
 
 using RecordId = uint32_t;
 using ClusterId = int32_t;
+/// Record pairs to compare, e.g. the Validator's violating pairs handed back
+/// to sampling (paper: comparisonSuggestions).
+using RecordPairs = std::vector<std::pair<RecordId, RecordId>>;
 
 /// Cluster id of records that are unique in the indexed attribute set
 /// (stripped from the PLI).

@@ -13,6 +13,7 @@
 #include "pli/pli_builder.h"
 #include "util/attribute_set.h"
 #include "util/memory_tracker.h"
+#include "util/run_report.h"
 #include "util/sync.h"
 
 namespace hyfd {
@@ -269,6 +270,38 @@ class PliCache {
   std::atomic<size_t> derivations_{0};
   std::atomic<size_t> inserts_{0};
   std::atomic<size_t> stale_drops_{0};
+};
+
+/// One run's share of a cache's cumulative counters (the cache may be shared
+/// across runs or kept warm across calls): snapshots them on construction;
+/// Record() writes the hits, misses and evictions since then into `report`
+/// (if non-null) and returns those deltas plus the stale drops. Null-safe:
+/// without a cache nothing is written and every delta reads zero.
+class PliCacheDelta {
+ public:
+  explicit PliCacheDelta(const PliCache* cache) : cache_(cache) {
+    if (cache_ != nullptr) before_ = cache_->counters();
+  }
+
+  PliCache::Counters Record(RunReport* report) const {
+    PliCache::Counters delta;
+    if (cache_ == nullptr) return delta;
+    const PliCache::Counters now = cache_->counters();
+    delta.hits = now.hits - before_.hits;
+    delta.misses = now.misses - before_.misses;
+    delta.evictions = now.evictions - before_.evictions;
+    delta.stale_drops = now.stale_drops - before_.stale_drops;
+    if (report != nullptr) {
+      report->pli_cache_hits = delta.hits;
+      report->pli_cache_misses = delta.misses;
+      report->pli_cache_evictions = delta.evictions;
+    }
+    return delta;
+  }
+
+ private:
+  const PliCache* cache_;
+  PliCache::Counters before_;
 };
 
 }  // namespace hyfd

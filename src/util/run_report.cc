@@ -353,6 +353,31 @@ void RunReport::MergeMetrics(const MetricsRegistry& metrics) {
   for (const auto& [name, value] : metrics.Export()) SetCounter(name, value);
 }
 
+void FinishRunReport(RunReport* report, size_t result_count,
+                     double total_seconds, const MemoryTracker* tracker) {
+  if (report == nullptr) return;
+  report->result_count = result_count;
+  report->total_seconds = total_seconds;
+  if (tracker == nullptr) return;
+  report->peak_memory_bytes = tracker->peak_bytes();
+  report->memory_components.clear();
+  for (int c = 0; c < MemoryTracker::kNumComponents; ++c) {
+    const size_t bytes = tracker->component_bytes(c);
+    if (bytes > 0) {
+      report->memory_components.emplace_back(MemoryTracker::ComponentName(c),
+                                             bytes);
+    }
+  }
+  std::sort(report->memory_components.begin(),
+            report->memory_components.end());
+}
+
+void PublishRunReport(RunReport* report, RunReport* mirror) {
+  if (mirror == nullptr) return;
+  report->dataset = std::move(mirror->dataset);
+  *mirror = *report;
+}
+
 std::string RunReport::ToJson() const {
   std::string out;
   out.reserve(1024);

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/memory_tracker.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 
@@ -161,6 +162,18 @@ struct RunReport {
 
   bool operator==(const RunReport&) const = default;
 };
+
+/// Finalizes a run report: result size, wall time, and — when a tracker was
+/// attached — the peak footprint broken down by component. Null-safe in
+/// `report` and `tracker`.
+void FinishRunReport(RunReport* report, size_t result_count,
+                     double total_seconds, const MemoryTracker* tracker);
+
+/// Hands a finished run's report to a caller-owned mirror (the `run_report`
+/// field of a config or AlgoOptions): `report` adopts the mirror's
+/// harness-owned `dataset` label, then the mirror becomes a copy of it. A
+/// null `mirror` leaves both untouched.
+void PublishRunReport(RunReport* report, RunReport* mirror);
 
 /// Null-safe RAII phase recorder: appends a PhaseSpan with the elapsed wall
 /// time on destruction. Usable around any block of a discoverer:

@@ -11,6 +11,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/hyfd.h"
@@ -325,6 +326,84 @@ TEST(IncrementalStatsTest, CountersAndReportTrackTheBatch) {
   EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty());
   EXPECT_EQ(mirror.ToJson(), report.ToJson());
 }
+
+TEST(IncrementalStatsTest, ReportCarriesTheComponentMetrics) {
+  Relation full = testing::RandomRelation(5, 100, 18, 3);
+  IncrementalHyFd session(full.HeadRows(80));
+  EXPECT_GT(session.report().FindCounter("sampler.windows").value_or(0), 0u);
+
+  session.ApplyBatch(Slice(full, 80, 100));
+  const IncrementalBatchStats& stats = session.last_batch_stats();
+  ASSERT_GT(stats.touched_clusters, 0u);
+  const RunReport& report = session.report();
+  EXPECT_GT(report.FindCounter("validator.levels").value_or(0), 0u);
+  EXPECT_GT(report.FindCounter("inductor.updates").value_or(0), 0u);
+  // The registry is reset per batch: the seed's sampling does not leak in.
+  EXPECT_EQ(report.FindCounter("sampler.windows").value_or(0), 0u);
+  // The session's own counters are unchanged by the merge.
+  EXPECT_EQ(report.FindCounter("incremental.touched_clusters"),
+            stats.touched_clusters);
+  EXPECT_EQ(report.FindCounter("incremental.fds_invalidated"),
+            stats.fds_invalidated);
+  EXPECT_EQ(report.FindCounter("incremental.fds_revalidated"),
+            stats.fds_revalidated);
+  EXPECT_EQ(report.FindCounter("incremental.validations"), stats.validations);
+  EXPECT_EQ(report.FindCounter("incremental.comparisons"), stats.comparisons);
+  EXPECT_EQ(report.FindCounter("incremental.phase_switches"),
+            static_cast<uint64_t>(stats.phase_switches));
+  EXPECT_EQ(report.FindCounter("incremental.batches"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The seeding discovery and HyFd::Discover run the same hybrid loop: a fresh
+// session must reproduce a plain HyFD run (no memory guardian) in FD set,
+// validation count and phase switches, at any thread count.
+// ---------------------------------------------------------------------------
+
+class SeededSessionMatchesHyFdTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+Relation SeedShape(int shape) {
+  switch (shape) {
+    case 0: return GenerateFdReduced(400, 6, 8, 1);
+    case 1: return GenerateFdReduced(800, 8, 16, 2);
+    case 2: return GenerateFdReduced(1200, 8, 24, 3);
+    case 3: return GenerateFdReduced(300, 10, 4, 4);
+    case 4: return GenerateFdReduced(600, 5, 32, 5);
+    case 5: return GenerateFdReduced(1000, 12, 16, 6);
+    case 6: return testing::RandomRelation(5, 100, 11, 3);
+    case 7: return testing::RandomRelation(6, 300, 12, 4);
+    case 8: return testing::RandomRelation(8, 200, 13, 2);
+    case 9: return testing::RandomRelation(4, 500, 14, 6);
+    case 10: return testing::RandomRelation(7, 150, 15, 3, /*null_rate=*/0.1);
+    default: return testing::RandomRelation(10, 120, 16, 3);
+  }
+}
+
+TEST_P(SeededSessionMatchesHyFdTest, SameFdsValidationsAndPhaseSwitches) {
+  const auto [shape, threads] = GetParam();
+  const Relation relation = SeedShape(shape);
+  HyFdConfig hyfd_config;
+  hyfd_config.num_threads = threads;
+  HyFd hyfd(hyfd_config);
+  const FDSet expected = hyfd.Discover(relation);
+
+  IncrementalConfig session_config;
+  session_config.num_threads = threads;
+  IncrementalHyFd session(relation, session_config);
+  const std::string context = "shape " + std::to_string(shape) + ", " +
+                              std::to_string(threads) + " threads";
+  testing::ExpectSameFds(expected, session.fds(), context);
+  EXPECT_EQ(session.last_batch_stats().validations, hyfd.stats().validations)
+      << context;
+  EXPECT_EQ(session.last_batch_stats().phase_switches,
+            hyfd.stats().phase_switches)
+      << context;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SeededSessionMatchesHyFdTest,
+                         ::testing::Combine(::testing::Range(0, 12),
+                                            ::testing::Values(1, 4)));
 
 // ---------------------------------------------------------------------------
 // CRUD differential: random append/delete/update ladders against from-scratch

@@ -204,5 +204,22 @@ TEST(InductorTest, ReportsUpdateMetrics) {
   EXPECT_TRUE(timed);
 }
 
+TEST(InductorTest, UpdateReturnsTheConfirmedFdsItRemoved) {
+  FDTree tree(4);
+  Inductor inductor(&tree);
+  EXPECT_EQ(inductor.Update({}), 0u);  // seeds ∅ -> ABCD, nothing confirmed
+  tree.ConfirmAll();
+  // {0,1} removes the confirmed ∅ -> 2 and ∅ -> 3 and adds the unconfirmed
+  // {3} -> 2 and {2} -> 3.
+  size_t confirmed_before = tree.CountConfirmedFds();
+  EXPECT_EQ(inductor.Update({Agree({0, 1})}), 2u);
+  EXPECT_EQ(confirmed_before - tree.CountConfirmedFds(), 2u);
+  // {3} removes the confirmed ∅ -> 0 and ∅ -> 1 plus the unconfirmed
+  // {3} -> 2, which is not counted.
+  confirmed_before = tree.CountConfirmedFds();
+  EXPECT_EQ(inductor.Update({Agree({3})}), 2u);
+  EXPECT_EQ(confirmed_before - tree.CountConfirmedFds(), 2u);
+}
+
 }  // namespace
 }  // namespace hyfd
