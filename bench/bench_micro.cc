@@ -5,10 +5,15 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/hyucc.h"
+#include "core/incremental.h"
 #include "core/inductor.h"
 #include "core/preprocessor.h"
 #include "core/sampler.h"
@@ -410,6 +415,68 @@ void BM_InductorUpdate(benchmark::State& state) {
                           static_cast<int64_t>(non_fds.size()));
 }
 BENCHMARK(BM_InductorUpdate)->Unit(benchmark::kMillisecond);
+
+// A served table for the UCC query rows, keyed by column count: 8 is the
+// service-crud shape (fd-reduced 20,000 x 8, domain 24) after one mixed
+// batch of 16 inserts, 16 deletes and 16 updates; 38 is the uniprot
+// stand-in at 1,000 x 38. Built once per process.
+const IncrementalHyFd& UccSession(int cols) {
+  static std::map<int, std::unique_ptr<IncrementalHyFd>> sessions;
+  std::unique_ptr<IncrementalHyFd>& session = sessions[cols];
+  if (session != nullptr) return *session;
+  if (cols != 8) {
+    session = std::make_unique<IncrementalHyFd>(
+        MakeDataset("uniprot", 1000, cols));
+    return *session;
+  }
+  const Relation source = GenerateFdReduced(20048, 8, 24, /*seed=*/7);
+  session = std::make_unique<IncrementalHyFd>(source.HeadRows(20000));
+  const auto row = [&](size_t r) {
+    std::vector<std::optional<std::string>> cells;
+    for (int c = 0; c < source.num_columns(); ++c) {
+      cells.emplace_back(source.Value(r, c));
+    }
+    return cells;
+  };
+  std::vector<std::vector<std::optional<std::string>>> inserts;
+  std::vector<RecordId> deletes;
+  std::vector<std::pair<RecordId, std::vector<std::optional<std::string>>>>
+      updates;
+  for (size_t i = 0; i < 16; ++i) {
+    inserts.push_back(row(20000 + i));
+    deletes.push_back(static_cast<RecordId>(i * 1000));
+    updates.emplace_back(static_cast<RecordId>(i * 1000 + 500),
+                         row(20016 + i));
+  }
+  session->ApplyMixed(inserts, deletes, updates);
+  return *session;
+}
+
+// Minimal UCCs of a served table from the session's FD tree (what the
+// service's QueryUccs runs).
+void BM_SessionUccs(benchmark::State& state) {
+  const IncrementalHyFd& session = UccSession(static_cast<int>(state.range(0)));
+  size_t uccs = 0;
+  for (auto _ : state) {
+    uccs = session.MinimalUccs().size();
+    benchmark::DoNotOptimize(uccs);
+  }
+  state.counters["uccs"] = static_cast<double>(uccs);
+}
+BENCHMARK(BM_SessionUccs)->Arg(8)->Arg(38)->Unit(benchmark::kMillisecond);
+
+// The same answer from a copy of the live rows and a from-scratch HyUCC run.
+void BM_HyUccLiveRelation(benchmark::State& state) {
+  const IncrementalHyFd& session = UccSession(static_cast<int>(state.range(0)));
+  size_t uccs = 0;
+  for (auto _ : state) {
+    HyUcc hyucc;
+    uccs = hyucc.Discover(session.LiveRelation()).size();
+    benchmark::DoNotOptimize(uccs);
+  }
+  state.counters["uccs"] = static_cast<double>(uccs);
+}
+BENCHMARK(BM_HyUccLiveRelation)->Arg(8)->Arg(38)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hyfd

@@ -5,6 +5,7 @@
 
 #include "core/hybrid_loop.h"
 #include "core/sampler.h"
+#include "core/ucc_lattice.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -71,10 +72,7 @@ void IncrementalHyFd::Seed() {
   // A fresh Inductor seeds the most general FDs ∅ → A on its first Update
   // over the fresh tree.
   inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
-  if (cache_ != nullptr) {
-    cache_->Rebind(DataFingerprint(relation_, data_.records),
-                   data_.num_records);
-  }
+  if (cache_ != nullptr) cache_->Rebind(++cache_epoch_, data_.num_records);
 
   // HyFd::Discover's phases, minus the memory guardian (a pruned tree would
   // silently break the incremental equivalence guarantee, so the session
@@ -295,23 +293,56 @@ bool IncrementalHyFd::IsRowLive(RecordId id) const {
 
 Relation IncrementalHyFd::LiveRelation() const {
   if (num_live_rows_ == relation_.num_rows()) return relation_;
-  std::vector<std::vector<std::optional<std::string>>> rows;
-  rows.reserve(num_live_rows_);
-  const size_t n = relation_.num_rows();
+  // Column by column, appending each live cell's canonical lexeme: the same
+  // segments a row-wise Relation::FromRows build yields, without holding
+  // every live row as strings at once.
   const int m = relation_.num_columns();
-  for (size_t r = 0; r < n; ++r) {
-    if (live_[r] == 0) continue;
-    auto& row = rows.emplace_back();
-    row.reserve(static_cast<size_t>(m));
-    for (int c = 0; c < m; ++c) {
-      if (relation_.IsNull(r, c)) {
-        row.emplace_back(std::nullopt);
+  std::vector<ColumnSegment> columns(static_cast<size_t>(m));
+  for (int c = 0; c < m; ++c) {
+    const ColumnSegment& source = relation_.segment(c);
+    ColumnSegment& live = columns[static_cast<size_t>(c)];
+    for (size_t r = 0; r < source.size(); ++r) {
+      if (live_[r] == 0) continue;
+      if (source.IsNull(r)) {
+        live.AppendNull();
       } else {
-        row.emplace_back(relation_.Value(r, c));
+        live.Append(source.Value(r));
       }
     }
   }
-  return Relation::FromRows(relation_.schema(), rows);
+  return Relation::FromSegments(relation_.schema(), std::move(columns));
+}
+
+std::vector<AttributeSet> IncrementalHyFd::MinimalUccs() const {
+  // With no two live rows agreeing everywhere, X is unique iff X -> R. fds_
+  // holds every minimal FD, so X -> A holds iff a stored Y ⊆ X has Y -> A,
+  // and one generalization walk yields X's closure. A pair of duplicate
+  // rows agrees on every X: then nothing is unique, and any key X -> R
+  // fails the uniqueness check on the data. DESIGN.md §14 has the proof.
+  bool checked = false;
+  bool duplicates = false;
+  RefineArena arena;
+  const auto is_key = [&](const AttributeSet& lhs, AttributeSet* extend_by) {
+    // extend_by arrives as R minus X and leaves as R minus closure(X): an
+    // attribute inside closure(X) never completes a minimal key through X,
+    // since the rest of that key would imply it.
+    extend_by->AndNot(tree_.FindGeneralizedRhss(lhs, *extend_by));
+    if (!extend_by->Empty()) return false;
+    if (!checked) {
+      // The first key decides for all: it is unique iff no rows repeat.
+      checked = true;
+      std::pair<RecordId, RecordId> violation;
+      duplicates = lhs.Empty() ? num_live_rows_ >= 2
+                               : !IsUnique(data_, lhs, &arena, &violation);
+    }
+    return true;
+  };
+  FDTree candidates = NewUccCandidateTree(data_.num_attributes);
+  for (int level = 0;
+       !ValidateUccLevel(&candidates, level, is_key).exhausted; ++level) {
+    if (duplicates) return {};
+  }
+  return UccsOf(candidates);
 }
 
 void IncrementalHyFd::set_pli_cache_budget_bytes(size_t budget_bytes) {
@@ -401,9 +432,9 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   Validator::ClusterDelta delta;
   GrowDerivedState(old_n, new_n, &delta);
   if (cache_ != nullptr) {
-    // Every cached partition describes the pre-batch rows; the fingerprint
-    // changed, so Rebind drops them all (Counters::stale_drops).
-    cache_->Rebind(DataFingerprint(relation_, data_.records), new_n);
+    // Every cached partition describes the pre-batch rows; a fresh epoch
+    // makes Rebind drop them all (Counters::stale_drops).
+    cache_->Rebind(++cache_epoch_, new_n);
   }
   stats_.append_seconds = timer.ElapsedSeconds();
 

@@ -36,8 +36,8 @@ struct IncrementalConfig {
   /// > 1 parallelizes sampling and validation on one shared pool.
   int num_threads = 1;
   /// Keep a session-owned budgeted PliCache warm across the phase switches
-  /// of each batch; it is re-bound (stale entries dropped) after every
-  /// append via the compressed-records fingerprint.
+  /// of each batch; every non-empty batch re-binds it to a new session
+  /// epoch, which drops the stale entries.
   bool enable_pli_cache = true;
   size_t pli_cache_budget_bytes = PliCache::kDefaultBudgetBytes;
   /// Deletes leave emptied cluster slots in place (slot indexes stay stable
@@ -199,10 +199,26 @@ class IncrementalHyFd {
   bool IsRowLive(RecordId id) const;
 
   /// Deep copy of the current *live* rows, tombstones compacted away and id
-  /// order preserved — the bridge from a long-lived session to the one-shot
-  /// discoverers (the service layer hands this to HyUcc for UCC queries).
-  /// When nothing is tombstoned this is a plain copy of relation().
+  /// order preserved, built column by column. Each column holds the live
+  /// cells' canonical lexemes appended afresh, so it equals a row-wise
+  /// Relation::FromRows build of those rows. A one-shot discoverer run on it
+  /// is the oracle of the session's answers. When nothing is tombstoned
+  /// this is a plain copy of relation().
   Relation LiveRelation() const;
+
+  /// All minimal UCCs (candidate keys) of the live rows, sorted by size and
+  /// then lexicographically: what HyUcc::Discover(LiveRelation()) returns,
+  /// but derived from the session's FD tree with no data copy. The
+  /// level-wise walk checks X -> R for each candidate X over the stored
+  /// minimal FDs; one uniqueness check of the first key on the session's
+  /// PLIs then tells whether live rows repeat, in which case no UCC exists.
+  /// Like fds(), it follows the session's value identity, so the keys and
+  /// the FDs never contradict each other. That identity can differ from
+  /// LiveRelation()'s: a column that now-dead rows widened to string keeps
+  /// "07" and "7" apart here, while LiveRelation() re-infers the column
+  /// type from the live cells alone. There the answer is the session's,
+  /// not HyUCC's on LiveRelation() (DESIGN.md §14).
+  std::vector<AttributeSet> MinimalUccs() const;
 
   /// Re-budgets the session-owned PliCache, evicting immediately if the new
   /// budget is lower; a no-op for sessions built with enable_pli_cache ==
@@ -319,6 +335,11 @@ class IncrementalHyFd {
   /// Relation::IdentityEpoch() the derived state was built under; a change
   /// after an append means codes split retroactively → Reseed().
   uint64_t identity_epoch_ = 0;
+  /// The token cache_ is bound to: bumped by the seed and by every
+  /// non-empty batch, so a cached partition never outlives the rows it was
+  /// built from. Hashing the data instead would cost a pass over every
+  /// physical row per batch.
+  uint64_t cache_epoch_ = 0;
 
   IncrementalBatchStats stats_;
   RunReport report_;

@@ -24,21 +24,24 @@ inline bool Observe(RefineWitness* w, uint64_t pos, RecordId a, RecordId b) {
   return fresh;
 }
 
-}  // namespace
-
-size_t RefineArena::MemoryBytes() const {
-  return code_epoch.capacity() * sizeof(uint64_t) +
-         code_slot.capacity() * sizeof(uint32_t) +
-         grouped_idx.capacity() * sizeof(uint32_t) +
-         group_offsets.capacity() * sizeof(uint32_t) +
-         scratch_idx.capacity() * sizeof(uint32_t) +
-         scratch_offsets.capacity() * sizeof(uint32_t) +
-         scratch_group.capacity() * sizeof(uint32_t) +
-         hist.capacity() * sizeof(uint32_t) + reps.capacity() * sizeof(RecordId) +
-         rep_rhs.capacity() * sizeof(ClusterId) +
-         rep_collect.capacity() * sizeof(int32_t) +
-         collect_order.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
+/// Bytes of `n` elements of `v`'s element type.
+template <typename T>
+size_t Bytes(const std::vector<T>& /*v*/, size_t n) {
+  return n * sizeof(T);
 }
+
+/// Bytes `v` holds in use (its size, not its capacity).
+template <typename T>
+size_t InUse(const std::vector<T>& v) {
+  return Bytes(v, v.size());
+}
+
+/// Bytes of the dense code table sized for codes in [0, bound).
+size_t CodeTableBytes(const RefineArena& arena, size_t bound) {
+  return Bytes(arena.code_epoch, bound) + Bytes(arena.code_slot, bound);
+}
+
+}  // namespace
 
 size_t GroupRowsByCodes(const CompressedRecords& records, const int* attrs,
                         size_t num_attrs, const RecordId* rows, size_t n,
@@ -173,6 +176,15 @@ void RunSingleOther(const RefineJob& job, size_t cluster_begin,
   const int other = job.others[0];
   const size_t num_rhs = job.num_rhs;
   arena->EnsureCodeTable(job.other_code_bound);
+  // One representative slot per group; the reps buffers are grow-only, so
+  // the gauge counts the slots in use rather than their sizes.
+  uint32_t max_slots = 0;
+  const auto note_scratch = [&] {
+    out->scratch_bytes = CodeTableBytes(*arena, job.other_code_bound) +
+                         Bytes(arena->reps, max_slots) +
+                         Bytes(arena->rep_collect, max_slots) +
+                         Bytes(arena->rep_rhs, max_slots * num_rhs);
+  };
   size_t remaining = num_rhs;
   for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
     const auto& cluster =
@@ -205,7 +217,7 @@ void RunSingleOther(const RefineJob& job, size_t cluster_begin,
         arena->rep_collect[num_slots] = -1;
         ClusterId* stored = &arena->rep_rhs[num_slots * num_rhs];
         for (size_t j = 0; j < num_rhs; ++j) stored[j] = rec[job.rhs_attrs[j]];
-        ++num_slots;
+        max_slots = std::max(max_slots, ++num_slots);
         continue;
       }
       const uint32_t slot = arena->code_slot[c];
@@ -225,12 +237,14 @@ void RunSingleOther(const RefineJob& job, size_t cluster_begin,
           if (--remaining == 0) {
             out->complete = false;
             out->collected.clear();  // partial partition: never cacheable
+            note_scratch();
             return;
           }
         }
       }
     }
   }
+  note_scratch();
 }
 
 /// Two or more non-pivot LHS attributes: group each pivot cluster with the
@@ -280,6 +294,17 @@ void RunGeneral(const RefineJob& job, size_t cluster_begin, size_t cluster_end,
         }
       }
     }
+    if (!cluster.empty()) {
+      // Every buffer below was re-sized for this cluster (an empty one
+      // returns before the grouping rounds touch the scratch).
+      out->scratch_bytes = std::max(
+          out->scratch_bytes,
+          CodeTableBytes(*arena, job.other_code_bound) +
+              InUse(arena->grouped_idx) + InUse(arena->group_offsets) +
+              InUse(arena->scratch_idx) + InUse(arena->scratch_offsets) +
+              InUse(arena->scratch_group) + InUse(arena->hist) +
+              InUse(arena->collect_order));
+    }
     if (job.collect) {
       // Emit groups in the order each gained its second record — the order
       // the legacy pass materialized them — so cached partitions (and hence
@@ -312,6 +337,7 @@ void RunRefineTask(const RefineJob& job, size_t cluster_begin,
   out->witnesses.assign(job.num_rhs, RefineWitness{});
   out->collected.clear();
   out->complete = true;
+  out->scratch_bytes = 0;
   if (job.num_rhs == 0) return;
   if (job.num_others == 0) {
     RunCompareToFirst(job, cluster_begin, cluster_end, rec_begin, rec_end, out);
@@ -336,6 +362,7 @@ void MergeTaskOut(RefineTaskOut* into, RefineTaskOut&& from) {
     }
   }
   into->complete = into->complete && from.complete;
+  into->scratch_bytes = std::max(into->scratch_bytes, from.scratch_bytes);
   if (into->collected.empty()) {
     into->collected = std::move(from.collected);
   } else {

@@ -81,9 +81,6 @@ class RefineArena {
   // collected clusters appear in the order each group gained its second
   // record — byte-identical to the legacy hash-grouping pass.
   std::vector<std::pair<uint32_t, uint32_t>> collect_order;
-
-  /// Approximate heap footprint (observability gauge).
-  size_t MemoryBytes() const;
 };
 
 /// One refinement job: simultaneously check lhs -> rhs for every rhs in
@@ -127,6 +124,11 @@ struct RefineTaskOut {
   /// only ever stops early when all RHSs are dead globally, so a job with
   /// any surviving RHS always has every task complete.
   bool complete = true;
+  /// Most arena scratch the task had in use after grouping one cluster: the
+  /// code table it sized plus the fill of the per-row buffers. It is
+  /// recorded from the buffers themselves and depends on the task alone,
+  /// not on which worker's arena ran it or what that arena ran before.
+  size_t scratch_bytes = 0;
 };
 
 /// Runs one task of `job` over clusters [cluster_begin, cluster_end) of the

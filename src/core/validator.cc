@@ -292,6 +292,15 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
   } else {
     for (size_t t = 0; t < tasks.size(); ++t) run_task(t);
   }
+  if (metrics_ != nullptr) {
+    // The largest scratch one task had in use: unlike the arenas' retained
+    // capacities, it does not depend on which worker ran which task.
+    size_t scratch = 0;
+    for (const RefineTaskOut& out : outs) {
+      scratch = std::max(scratch, out.scratch_bytes);
+    }
+    metrics_->GetGauge("validator.arena_bytes")->SetMax(scratch);
+  }
 
   // --- Merge (deterministic for any thread count and split). --------------
   // Per RHS the minimum witness position survives, which is exactly the
@@ -354,11 +363,6 @@ ValidatorResult Validator::Run() {
       metrics_->GetCounter("validator.suggestions")->Add(suggestions.size());
       metrics_->GetCounter("validator.suggestions_deduped")
           ->Add(raw_emitted - suggestions.size());
-      size_t arena_bytes = 0;
-      for (const RefineArena& arena : arenas_) {
-        arena_bytes += arena.MemoryBytes();
-      }
-      metrics_->GetGauge("validator.arena_bytes")->SetMax(arena_bytes);
     }
   };
 

@@ -27,10 +27,11 @@ bool FindGeneralization(const FDTree::Node* node, const AttributeSet& lhs,
   return false;
 }
 
-/// Recursive helper for FindGeneralizedRhssWith: clears from `pending`
-/// every RHS stored at a node whose path contains `must`. Paths spell
-/// ascending attributes, so a path that has not taken `must` yet may not
-/// step past it, and only nodes at or below `must` can answer.
+/// Recursive helper for FindGeneralizedRhss(With): clears from `pending`
+/// every RHS stored at a node whose path contains `must` (every node when
+/// `must` is -1). Paths spell ascending attributes, so a path that has not
+/// taken `must` yet may not step past it, and only nodes at or below `must`
+/// can answer.
 void ClearGeneralizedWith(const FDTree::Node* node, const AttributeSet& lhs,
                           int from, int must, AttributeSet* pending) {
   const bool has_must = from >= must;
@@ -238,6 +239,15 @@ bool FDTree::ContainsFdOrGeneralizationWith(const AttributeSet& lhs, int rhs,
   AttributeSet only_rhs(num_attributes_);
   only_rhs.Set(rhs);
   return !FindGeneralizedRhssWith(lhs, only_rhs, must).Empty();
+}
+
+AttributeSet FDTree::FindGeneralizedRhss(const AttributeSet& lhs,
+                                         const AttributeSet& rhss) const {
+  AttributeSet pending = rhss;
+  ClearGeneralizedWith(root_.get(), lhs, -1, -1, &pending);
+  AttributeSet found = rhss;
+  found.AndNot(pending);
+  return found;
 }
 
 AttributeSet FDTree::FindGeneralizedRhssWith(const AttributeSet& lhs,

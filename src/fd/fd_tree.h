@@ -94,6 +94,12 @@ class FDTree {
   bool ContainsFdOrGeneralizationWith(const AttributeSet& lhs, int rhs,
                                       int must) const;
 
+  /// The subset of `rhss` that has a stored generalization X ⊆ LHS, in one
+  /// walk that stops once every RHS is found. Over a complete minimal FD
+  /// set, LHS ∪ FindGeneralizedRhss(LHS, LHS') is LHS's closure.
+  AttributeSet FindGeneralizedRhss(const AttributeSet& lhs,
+                                   const AttributeSet& rhss) const;
+
   /// ContainsFdOrGeneralizationWith for every RHS of `rhss` in one walk:
   /// returns the subset of `rhss` that has a stored generalization X ⊆ LHS
   /// with `must` ∈ X. Same precondition, for each RHS.

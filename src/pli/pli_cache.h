@@ -176,9 +176,11 @@ class PliCache {
     return data_fingerprint_;
   }
 
-  /// Binds the cache to a dataset fingerprint + record count. A no-op when
-  /// both already match (the cached partitions stay warm — the cross-batch
-  /// reuse path of IncrementalHyFd). On any mismatch every derived entry is
+  /// Binds the cache to a dataset token + record count. The token is a
+  /// content fingerprint (DataFingerprint, for HyFd's cache that persists
+  /// across Discover() calls) or an owner's epoch that changes with its data
+  /// (IncrementalHyFd). A no-op when both already match (the cached
+  /// partitions stay warm). On any mismatch every derived entry is
   /// dropped (counted under Counters::stale_drops, not evictions) and the
   /// record count is updated, so a later Put()/Probe() can never serve a
   /// partition computed over the old rows. Caches with pinned singles refuse

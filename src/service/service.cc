@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/guardian.h"
-#include "core/hyucc.h"
 #include "data/relation.h"
 #include "data/schema.h"
 #include "util/check.h"
@@ -343,16 +342,10 @@ ServiceResult FdService::QueryUccs(const TableRequest& req) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
     IncrementalHyFd& session = *entry->session;
-    HyUccConfig ucc_config;
-    ucc_config.null_semantics = config_.null_semantics;
-    ucc_config.efficiency_threshold = config_.efficiency_threshold;
-    ucc_config.num_threads = 1;  // running on a pool worker
-    HyUcc hyucc(ucc_config);
-    std::vector<AttributeSet> uccs = hyucc.Discover(session.LiveRelation());
     ServiceResult r;
     r.reply.request = MessageType::kQueryUccs;
     r.reply.status = StatusOf(session);
-    for (const AttributeSet& ucc : uccs) {
+    for (const AttributeSet& ucc : session.MinimalUccs()) {
       std::vector<uint32_t> wire;
       for (int attr : ucc.ToIndexes()) {
         wire.push_back(static_cast<uint32_t>(attr));

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "core/hyfd.h"
+#include "core/hyucc.h"
+#include "data/datasets.h"
 #include "data/generators.h"
 #include "fd/reference.h"
 #include "gtest/gtest.h"
@@ -862,6 +864,364 @@ TEST(IncrementalStatsTest, CacheRebindsAcrossBatches) {
   }
   EXPECT_TRUE(found);
   testing::ExpectSameFds(DiscoverFds(full), session.fds(), "two batches");
+}
+
+// ---------------------------------------------------------------------------
+// Reads served from the session's own state: LiveRelation() streamed column
+// by column, MinimalUccs() derived from the FD tree, and the epoch-bound
+// PLI cache.
+// ---------------------------------------------------------------------------
+
+/// Random CRUD batches against `session`, which was seeded with a prefix of
+/// `source`: inserts and the new versions of updates take `source`'s
+/// following rows in turn (wrapping around), and deletes and updates hit
+/// random live rows. `check` runs after the seed and after every batch,
+/// with a label for that point.
+template <typename Check>
+void RunRandomCrud(IncrementalHyFd* session, const Relation& source,
+                   size_t num_steps, uint64_t seed, const Check& check) {
+  std::mt19937_64 rng(seed);
+  size_t next = session->relation().num_rows();
+  const auto next_row = [&] {
+    return RowOf(source, next++ % source.num_rows());
+  };
+  check("seed");
+  for (size_t step = 0; step < num_steps; ++step) {
+    std::vector<RecordId> live;
+    for (size_t id = 0; id < session->relation().num_rows(); ++id) {
+      if (session->IsRowLive(static_cast<RecordId>(id))) {
+        live.push_back(static_cast<RecordId>(id));
+      }
+    }
+    std::shuffle(live.begin(), live.end(), rng);
+    const size_t num_deletes =
+        live.empty() ? 0 : rng() % std::min<size_t>(4, live.size());
+    const size_t num_updates =
+        live.size() <= num_deletes
+            ? 0
+            : rng() % std::min<size_t>(3, live.size() - num_deletes);
+    std::vector<Row> inserts;
+    for (size_t i = rng() % 4; i > 0; --i) inserts.push_back(next_row());
+    std::vector<RecordId> deletes(live.begin(), live.begin() + num_deletes);
+    std::vector<std::pair<RecordId, Row>> updates;
+    for (size_t i = 0; i < num_updates; ++i) {
+      updates.emplace_back(live[num_deletes + i], next_row());
+    }
+    session->ApplyMixed(inserts, deletes, updates);
+    check("step " + std::to_string(step + 1));
+  }
+}
+
+/// The pre-streaming construction of LiveRelation(): every live row
+/// materialized as strings, then rebuilt row by row.
+Relation RowMaterializedLiveRelation(const IncrementalHyFd& session) {
+  std::vector<Row> rows;
+  for (size_t r = 0; r < session.relation().num_rows(); ++r) {
+    if (session.IsRowLive(static_cast<RecordId>(r))) {
+      rows.push_back(RowOf(session.relation(), r));
+    }
+  }
+  return Relation::FromRows(session.relation().schema(), rows);
+}
+
+void ExpectSameLiveRelation(const IncrementalHyFd& session,
+                            const std::string& context) {
+  const Relation expected = RowMaterializedLiveRelation(session);
+  const Relation live = session.LiveRelation();
+  ASSERT_EQ(live.num_rows(), expected.num_rows()) << context;
+  ASSERT_EQ(live.num_columns(), expected.num_columns()) << context;
+  EXPECT_EQ(live.ContentFingerprint(), expected.ContentFingerprint())
+      << context;
+  for (size_t r = 0; r < live.num_rows(); ++r) {
+    for (int c = 0; c < live.num_columns(); ++c) {
+      ASSERT_EQ(live.IsNull(r, c), expected.IsNull(r, c))
+          << context << " cell (" << r << ", " << c << ")";
+      ASSERT_EQ(live.Value(r, c), expected.Value(r, c))
+          << context << " cell (" << r << ", " << c << ")";
+    }
+  }
+}
+
+TEST(LiveRelationTest, ColumnStreamedCopyMatchesRowMaterializedCopy) {
+  for (uint64_t seed : {900, 901, 902}) {
+    const Relation full =
+        testing::RandomRelation(5, 80, seed, 4, /*null_rate=*/0.25);
+    IncrementalHyFd session(full.HeadRows(40));
+    RunRandomCrud(&session, full, 10, seed, [&](const std::string& at) {
+      ExpectSameLiveRelation(session,
+                             "seed " + std::to_string(seed) + " " + at);
+    });
+  }
+}
+
+TEST(LiveRelationTest, AllLiveCopyIsThePlainRelation) {
+  const Relation full = testing::RandomRelation(4, 30, 903, 3, 0.2);
+  IncrementalHyFd session(full);
+  session.ApplyBatch(Slice(full, 0, 5));
+  ASSERT_EQ(session.num_live_rows(), session.relation().num_rows());
+  ExpectSameLiveRelation(session, "all live");
+  EXPECT_EQ(session.LiveRelation().ContentFingerprint(),
+            session.relation().ContentFingerprint());
+}
+
+TEST(LiveRelationTest, NumericWideningKeepsTheCopiesIdentical) {
+  // An int column widened to double by a batch, with a tombstone in place:
+  // the live cells are re-encoded from their double renderings.
+  Relation r = Relation::FromStringRows(
+      Schema({"n", "s"}), {{"1", "a"}, {"2", "b"}, {"1000000000000000", "c"}});
+  IncrementalHyFd session(r);
+  session.DeleteRows({RecordId{1}});
+  session.ApplyMixed({{std::string("2.5"), std::nullopt}}, {}, {});
+  EXPECT_FALSE(session.last_batch_stats().reseeded);
+  EXPECT_EQ(session.relation().segment(0).type(), ColumnType::kDouble);
+  ExpectSameLiveRelation(session, "int to double");
+}
+
+TEST(LiveRelationTest, StringWideningReseedKeepsTheCopiesIdentical) {
+  // "07" and "7" share an int code until a string lands in the column; the
+  // split reseeds (compacting tombstones), and later deletes tombstone the
+  // reseeded relation again.
+  Relation r = Relation::FromStringRows(
+      Schema({"n", "s"}), {{"07", "a"}, {"7", "b"}, {"8", "a"}, {"9", "b"}});
+  IncrementalHyFd session(r);
+  session.DeleteRows({RecordId{2}});
+  ExpectSameLiveRelation(session, "before widening");
+  session.ApplyBatchStrings({{"x", "c"}});
+  EXPECT_TRUE(session.last_batch_stats().reseeded);
+  ExpectSameLiveRelation(session, "after the reseed");
+  session.DeleteRows({RecordId{0}});
+  session.ApplyMixed({{std::string("007"), std::nullopt}}, {}, {});
+  ExpectSameLiveRelation(session, "tombstones after the reseed");
+}
+
+void ExpectUccsMatchHyUcc(const IncrementalHyFd& session, NullSemantics nulls,
+                          const std::string& context) {
+  HyUccConfig config;
+  config.null_semantics = nulls;
+  HyUcc hyucc(config);
+  EXPECT_EQ(session.MinimalUccs(), hyucc.Discover(session.LiveRelation()))
+      << context;
+}
+
+// Generator and registry shapes × both NULL semantics × threads {1, 4},
+// compared after the seed and after every CRUD batch.
+class SessionUccsTest : public ::testing::TestWithParam<int> {};
+
+/// Rows of `r`, where every 4th row of the second half repeats a row of
+/// the first half: inserting it makes a duplicate live row.
+Relation WithPlantedDuplicates(const Relation& r) {
+  std::vector<Row> rows;
+  const size_t half = r.num_rows() / 2;
+  for (size_t i = 0; i < r.num_rows(); ++i) {
+    const bool copy = i >= half && (i - half) % 4 == 3;
+    rows.push_back(RowOf(r, copy ? i - half : i));
+  }
+  return Relation::FromRows(r.schema(), rows);
+}
+
+Relation UccShape(int shape) {
+  switch (shape) {
+    case 0:
+      return WithPlantedDuplicates(testing::RandomRelation(8, 60, 910, 12));
+    case 1: return testing::RandomRelation(6, 80, 911, 10, /*null_rate=*/0.2);
+    case 2: return GenerateFdReduced(120, 6, 8, /*seed=*/912);
+    case 3: return MakeDataset("abalone", 80);
+    case 4: return MakeDataset("bridges", 60, 9);
+    case 5: return MakeDataset("ncvoter", 120, 10);
+    default: return MakeDataset("hepatitis", 80, 12);
+  }
+}
+
+TEST_P(SessionUccsTest, MatchesHyUccOnTheLiveRows) {
+  const int shape = GetParam();
+  const Relation full = UccShape(shape);
+  for (NullSemantics nulls :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
+    for (int threads : {1, 4}) {
+      IncrementalConfig config;
+      config.null_semantics = nulls;
+      config.num_threads = threads;
+      IncrementalHyFd session(full.HeadRows(full.num_rows() / 2), config);
+      const std::string context =
+          "shape " + std::to_string(shape) + " threads " +
+          std::to_string(threads) +
+          (nulls == NullSemantics::kNullEqualsNull ? " null==null"
+                                                   : " null!=null");
+      RunRandomCrud(&session, full, 6, 913 + static_cast<uint64_t>(shape),
+                    [&](const std::string& at) {
+                      ExpectUccsMatchHyUcc(session, nulls, context + " " + at);
+                    });
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SessionUccsTest, ::testing::Range(0, 7));
+
+TEST(SessionUccsEdgeTest, DuplicateRowsComeAndGo) {
+  Relation r = Relation::FromStringRows(
+      Schema({"a", "b", "c"}),
+      {{"1", "x", "p"}, {"2", "x", "q"}, {"3", "y", "p"}, {"4", "y", "q"}});
+  for (NullSemantics nulls :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
+    IncrementalConfig config;
+    config.null_semantics = nulls;
+    IncrementalHyFd session(r, config);
+    ASSERT_FALSE(session.MinimalUccs().empty());
+    ExpectUccsMatchHyUcc(session, nulls, "distinct rows");
+
+    // An inserted copy of row 1 leaves no unique column set; deleting it
+    // restores the keys.
+    session.ApplyBatchStrings({{"2", "x", "q"}});
+    EXPECT_TRUE(session.MinimalUccs().empty());
+    ExpectUccsMatchHyUcc(session, nulls, "after inserting a duplicate");
+    session.DeleteRows({RecordId{4}});
+    ExpectUccsMatchHyUcc(session, nulls, "after deleting the duplicate");
+    EXPECT_FALSE(session.MinimalUccs().empty());
+
+    // The same through an update that rewrites the copy.
+    session.ApplyBatchStrings({{"3", "y", "p"}});
+    EXPECT_TRUE(session.MinimalUccs().empty());
+    session.UpdateRows({{RecordId{5}, {"5", "z", "r"}}});
+    ExpectUccsMatchHyUcc(session, nulls, "after updating the duplicate");
+    EXPECT_FALSE(session.MinimalUccs().empty());
+  }
+}
+
+TEST(SessionUccsEdgeTest, NullDuplicatesFollowTheNullSemantics) {
+  // Two rows equal except that both hold NULL in "b": duplicates only when
+  // NULL equals NULL.
+  const std::vector<Row> rows = {
+      {"1", std::nullopt}, {"1", std::nullopt}, {"2", "x"}};
+  for (NullSemantics nulls :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
+    IncrementalConfig config;
+    config.null_semantics = nulls;
+    IncrementalHyFd session(Relation::FromRows(Schema({"a", "b"}), rows),
+                            config);
+    EXPECT_EQ(session.MinimalUccs().empty(),
+              nulls == NullSemantics::kNullEqualsNull);
+    ExpectUccsMatchHyUcc(session, nulls, "NULL pair");
+  }
+}
+
+TEST(SessionUccsEdgeTest, ZeroAndOneLiveRows) {
+  Relation r = Relation::FromStringRows(Schema({"a", "b"}),
+                                        {{"1", "x"}, {"2", "x"}, {"3", "y"}});
+  IncrementalHyFd session(r);
+  ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull, "3 rows");
+  session.DeleteRows({RecordId{0}, RecordId{1}});
+  ASSERT_EQ(session.num_live_rows(), 1u);
+  EXPECT_EQ(session.MinimalUccs(), std::vector<AttributeSet>{AttributeSet(2)});
+  ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull, "1 live row");
+  session.DeleteRows({RecordId{2}});
+  ASSERT_EQ(session.num_live_rows(), 0u);
+  EXPECT_EQ(session.MinimalUccs(), std::vector<AttributeSet>{AttributeSet(2)});
+  ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull, "0 live rows");
+  session.ApplyBatchStrings({{"4", "z"}, {"5", "z"}});
+  ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull,
+                       "2 rows again");
+
+  IncrementalHyFd empty(Relation::FromRows(Schema({"a", "b"}), {}));
+  EXPECT_EQ(empty.MinimalUccs(), std::vector<AttributeSet>{AttributeSet(2)});
+  ExpectUccsMatchHyUcc(empty, NullSemantics::kNullEqualsNull, "empty seed");
+}
+
+TEST(SessionUccsEdgeTest, ConstantColumns) {
+  // Constant columns never enter a minimal key; all-constant rows are all
+  // duplicates of each other.
+  Relation some = Relation::FromStringRows(
+      Schema({"k", "c", "d"}),
+      {{"1", "c", "d"}, {"2", "c", "d"}, {"3", "c", "d"}});
+  IncrementalHyFd session(some);
+  EXPECT_EQ(session.MinimalUccs(),
+            std::vector<AttributeSet>{AttributeSet(3, {0})});
+  ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull,
+                       "some constant");
+
+  Relation all = Relation::FromStringRows(
+      Schema({"c", "d"}), {{"c", "d"}, {"c", "d"}, {"c", "d"}});
+  IncrementalHyFd constant(all);
+  EXPECT_TRUE(constant.MinimalUccs().empty());
+  ExpectUccsMatchHyUcc(constant, NullSemantics::kNullEqualsNull,
+                       "all constant");
+  constant.DeleteRows({RecordId{0}, RecordId{1}});
+  ExpectUccsMatchHyUcc(constant, NullSemantics::kNullEqualsNull,
+                       "one constant row left");
+}
+
+TEST(SessionUccsEdgeTest, DeadRowsWidenedToString) {
+  // "x" makes column a a string column, so "07" and "7" are distinct
+  // values. Deleting the "x" row keeps that identity in the session, while
+  // LiveRelation() re-infers an int column from the live cells and merges
+  // them. The keys follow the session, as its FDs do: with a -> b and
+  // b -> a served, {a} must be a key whenever {b} is.
+  Relation r = Relation::FromStringRows(
+      Schema({"a", "b"}), {{"07", "p"}, {"7", "q"}, {"x", "r"}});
+  IncrementalHyFd session(r);
+  session.DeleteRows({RecordId{2}});
+  ASSERT_EQ(session.relation().segment(0).type(), ColumnType::kString);
+  const AttributeSet a(2, {0});
+  const AttributeSet b(2, {1});
+  EXPECT_TRUE(session.fds().Contains(FD(a, 1)));
+  EXPECT_TRUE(session.fds().Contains(FD(b, 0)));
+  EXPECT_EQ(session.MinimalUccs(), (std::vector<AttributeSet>{a, b}));
+
+  // The one-shot answer on the re-inferred live copy differs here.
+  HyUcc hyucc;
+  EXPECT_EQ(hyucc.Discover(session.LiveRelation()),
+            std::vector<AttributeSet>{b});
+}
+
+TEST(SessionUccsEdgeTest, WideUniprot) {
+  // The column regime: uniprot 1000 x 38 holds ~390k minimal FDs and
+  // thousands of minimal UCCs.
+  // The batch only inserts: a delete batch on this shape rebuilds the
+  // candidate tree from the whole negative cover and takes minutes.
+  const Relation full = MakeDataset("uniprot", 1000, 38);
+  IncrementalHyFd session(full.HeadRows(990));
+  ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull, "seed");
+  session.ApplyBatch(Slice(full, 990, 1000));
+  ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull,
+                       "after inserts");
+}
+
+// The session's PLI cache is bound to an epoch that every non-empty batch
+// bumps, so partitions the Validator cached for earlier rows are dropped
+// before the batch validates anything. Here the seed caches π_{a,b} (it
+// proves {a,b} -> c), and {a,b} -> d fails only on rows 0 and 1. Deleting
+// row 1 keeps the physical row count, so only the epoch tells the cache
+// that π_{a,b} is stale. The delete batch then checks {a,b} -> d from
+// scratch, and the stale partition, which still pairs rows 0 and 1, would
+// reject it.
+TEST(IncrementalCacheTest, BatchesNeverReusePartitionsCachedBeforeThem) {
+  const Relation r = Relation::FromStringRows(
+      Schema({"a", "b", "c", "d"}), {{"1", "1", "x", "p"},
+                                     {"1", "1", "x", "q"},
+                                     {"1", "2", "y", "q"},
+                                     {"2", "1", "z", "q"},
+                                     {"2", "2", "w", "p"}});
+  IncrementalConfig cached_config;
+  cached_config.enable_pli_cache = true;
+  IncrementalConfig plain_config = cached_config;
+  plain_config.enable_pli_cache = false;
+  IncrementalHyFd cached(r, cached_config);
+  IncrementalHyFd plain(r, plain_config);
+  const FD ab_to_d(AttributeSet(4, {0, 1}), 3);
+  EXPECT_TRUE(cached.fds().Contains(FD(AttributeSet(4, {0, 1}), 2)));
+  EXPECT_FALSE(cached.fds().Contains(ab_to_d));
+
+  cached.DeleteRows({RecordId{1}});
+  plain.DeleteRows({RecordId{1}});
+  EXPECT_GT(cached.last_batch_stats().validations, 0u);
+  EXPECT_TRUE(cached.fds().Contains(ab_to_d));
+  testing::ExpectSameFds(plain.fds(), cached.fds(), "after the delete");
+  testing::ExpectSameFds(DiscoverFds(cached.LiveRelation()), cached.fds(),
+                         "after the delete vs from scratch");
+  uint64_t stale_drops = 0;
+  for (const auto& [name, value] : cached.report().counters) {
+    if (name == "incremental.cache_stale_drops") stale_drops = value;
+  }
+  EXPECT_GT(stale_drops, 0u);
 }
 
 }  // namespace

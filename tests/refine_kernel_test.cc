@@ -446,5 +446,26 @@ TEST(RefineKernelTest, SuggestionBufferGaugesTrackPeakAndArena) {
   EXPECT_GT(metrics.GetGauge("validator.arena_bytes")->value(), 0u);
 }
 
+TEST(RefineKernelTest, ArenaGaugeIsScheduleInvariant) {
+  // validator.arena_bytes is the largest scratch one refinement task had in
+  // use, which depends on the task list alone. That list is fixed for a
+  // given thread count, so repeated pooled runs, whose workers pick up the
+  // tasks in a different order each time, report the same value.
+  Relation r = GenerateFdReduced(30000, 8, 6, /*seed=*/47);
+  PreprocessedData data = Preprocess(r);
+  const auto gauge = [&](ThreadPool* pool) {
+    MetricsRegistry metrics;
+    RunKernelValidator(data, 0.0, pool, nullptr, &metrics);
+    return metrics.GetGauge("validator.arena_bytes")->value();
+  };
+  EXPECT_GT(gauge(nullptr), 0u);
+  ThreadPool pool(4);
+  const uint64_t pooled = gauge(&pool);
+  EXPECT_GT(pooled, 0u);
+  for (int run = 1; run < 6; ++run) {
+    EXPECT_EQ(gauge(&pool), pooled) << "pooled run " << run;
+  }
+}
+
 }  // namespace
 }  // namespace hyfd

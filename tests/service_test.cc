@@ -234,6 +234,33 @@ TEST(ServiceEngine, CrudMatchesOracleInProcess) {
   EXPECT_EQ(svc.QueryFds({"t"}).code, ServiceError::kUnknownTable);
 }
 
+TEST(ServiceEngine, UccsFollowTheServedFds) {
+  // "x" widens column a to string, so "07" and "7" stay distinct after the
+  // "x" row is deleted. The served FDs say a -> b and b -> a, and the
+  // served keys agree with them: {a} and {b}. (HyUCC on the live rows
+  // alone re-infers a numeric column and finds only {b}.)
+  FdService svc;
+  ASSERT_TRUE(svc.CreateTable({"t", {"a", "b"}}).ok());
+  ASSERT_TRUE(svc.IngestBatch({"t",
+                               {{std::string("07"), std::string("p")},
+                                {std::string("7"), std::string("q")},
+                                {std::string("x"), std::string("r")}}})
+                  .ok());
+  ASSERT_TRUE(svc.ApplyMixed({"t", {}, {2}, {}}).ok());
+
+  ServiceResult fds = svc.QueryFds({"t"});
+  ASSERT_TRUE(fds.ok());
+  const FDSet served = ToFdSet(fds.reply, 2);
+  const AttributeSet a(2, {0});
+  const AttributeSet b(2, {1});
+  EXPECT_TRUE(served.Contains(FD(a, 1)));
+  EXPECT_TRUE(served.Contains(FD(b, 0)));
+
+  ServiceResult uccs = svc.QueryUccs({"t"});
+  ASSERT_TRUE(uccs.ok());
+  EXPECT_EQ(ToUccs(uccs.reply, 2), (std::vector<AttributeSet>{a, b}));
+}
+
 TEST(ServiceEngine, LhsFilterRestrictsFds) {
   FdService svc;
   const std::vector<std::string> columns = Schema::Generic(4).names();
