@@ -10,20 +10,31 @@
 // enough fresh rows to hold the live count steady — against a from-scratch
 // run on the live rows only.
 //
-// After every batch, the incremental FD set is compared against the
-// from-scratch run. ANY divergence makes the harness exit non-zero (2): the
-// speedup numbers are meaningless unless the answers are identical.
+// A third ladder holds the batch fixed and grows the table: one ApplyMixed
+// batch of 16 inserts, 16 deletes and 16 updates, repeated at 20k, 80k and
+// 320k rows (3k and 12k under --smoke), on 8 columns of --domain values
+// with three planted FDs. Per-batch cost should stay roughly flat as rows
+// grow; the first two ladders scale the batch with the table, so they
+// cannot show that. Each rung's final FD set is compared against a
+// from-scratch run on its live rows.
+//
+// After every batch (every rung, for the third ladder), the incremental FD
+// set is compared against the from-scratch run. ANY divergence makes the
+// harness exit non-zero (2): the speedup numbers are meaningless unless the
+// answers are identical.
 //
 // Flags: --rows=N       rows of the generated base relation (default 20000)
-//        --cols=N       columns (default 8)
+//        --cols=N       columns of the first two ladders (default 8)
 //        --domain=N     value domain per column (default 24)
 //        --batches=N    batches per ladder point (default 3)
 //        --threads=N    session + from-scratch thread count (default 1)
 //        --smoke        CI mode: 3000 rows, 2 batches per point
 //        --out=PATH     JSON output path (default BENCH_incremental.json)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <random>
 #include <string>
@@ -37,13 +48,14 @@
 
 namespace {
 
-std::vector<std::vector<std::optional<std::string>>> SliceRows(
-    const hyfd::Relation& source, size_t from, size_t to) {
-  std::vector<std::vector<std::optional<std::string>>> rows;
+using Row = std::vector<std::optional<std::string>>;
+
+std::vector<Row> SliceRows(const hyfd::Relation& source, size_t from,
+                           size_t to) {
+  std::vector<Row> rows;
   rows.reserve(to - from);
   for (size_t r = from; r < to; ++r) {
-    std::vector<std::optional<std::string>> row(
-        static_cast<size_t>(source.num_columns()));
+    Row row(static_cast<size_t>(source.num_columns()));
     for (int c = 0; c < source.num_columns(); ++c) {
       if (!source.IsNull(r, c)) row[static_cast<size_t>(c)] = source.Value(r, c);
     }
@@ -51,6 +63,71 @@ std::vector<std::vector<std::optional<std::string>>> SliceRows(
   }
   return rows;
 }
+
+/// The live rows of a CRUD session as (session physical id, content): the
+/// from-scratch comparator rebuilds a Relation from it outside the timer.
+struct LiveModel {
+  std::vector<std::pair<hyfd::RecordId, Row>> live;
+
+  LiveModel(const hyfd::Relation& source, size_t rows) {
+    for (size_t r = 0; r < rows; ++r) {
+      live.emplace_back(static_cast<hyfd::RecordId>(r),
+                        std::move(SliceRows(source, r, r + 1)[0]));
+    }
+  }
+
+  /// One ApplyMixed call on `session`: picks 2*ops distinct random live rows
+  /// (capped below the live count), deletes the first half, rewrites the
+  /// rest to fresh content, and inserts as many fresh rows as it deleted,
+  /// so the live count holds steady. Mirrors the session's id assignment
+  /// (inserts append first, then the updates' fresh versions) and returns
+  /// the seconds the call took.
+  double ApplyMixed(hyfd::IncrementalHyFd* session, size_t ops,
+                    std::mt19937_64* rng,
+                    const std::function<Row()>& fresh_row) {
+    using hyfd::RecordId;
+    const size_t claim = std::min(2 * ops, live.size() - 1);
+    for (size_t i = 0; i < claim; ++i) {
+      const size_t pick = (*rng)() % (live.size() - i);
+      std::swap(live[pick], live[live.size() - 1 - i]);
+    }
+    const size_t num_deletes = claim / 2;
+    const size_t num_updates = claim - num_deletes;
+    std::vector<RecordId> deletes;
+    for (size_t i = live.size() - num_deletes; i < live.size(); ++i) {
+      deletes.push_back(live[i].first);
+    }
+    std::vector<std::pair<RecordId, Row>> updates;
+    for (size_t i = live.size() - claim; i < live.size() - num_deletes; ++i) {
+      updates.emplace_back(live[i].first, fresh_row());
+    }
+    std::vector<Row> inserts;
+    for (size_t i = 0; i < num_deletes; ++i) inserts.push_back(fresh_row());
+
+    // One call, one repair pass: deletes, updates, and inserts share the
+    // cover repair and the hybrid loop.
+    hyfd::Timer timer;
+    session->ApplyMixed(inserts, deletes, updates);
+    const double seconds = timer.ElapsedSeconds();
+
+    live.resize(live.size() - num_deletes);
+    RecordId next_id = static_cast<RecordId>(session->relation().num_rows()) -
+                       static_cast<RecordId>(num_updates + inserts.size());
+    for (auto& row : inserts) live.emplace_back(next_id++, row);
+    for (size_t i = 0; i < num_updates; ++i) {
+      auto& slot = live[live.size() - inserts.size() - num_updates + i];
+      slot = {next_id++, updates[i].second};
+    }
+    return seconds;
+  }
+
+  hyfd::Relation ToRelation(const hyfd::Schema& schema) const {
+    std::vector<Row> rows;
+    rows.reserve(live.size());
+    for (const auto& [id, row] : live) rows.push_back(row);
+    return hyfd::Relation::FromRows(schema, rows);
+  }
+};
 
 }  // namespace
 
@@ -148,17 +225,15 @@ int main(int argc, char** argv) {
               "same");
 
   IncrementalHyFd crud_session(source.HeadRows(rows), config);
-  // Model of the live rows: (session physical id, row content). The
-  // from-scratch comparator rebuilds a Relation from this outside the timer.
-  std::vector<std::pair<RecordId, std::vector<std::optional<std::string>>>>
-      live;
-  for (size_t r = 0; r < rows; ++r) {
-    auto row = SliceRows(source, r, r + 1);
-    live.emplace_back(static_cast<RecordId>(r), std::move(row[0]));
-  }
+  LiveModel model(source, rows);
   // Fresh content comes from the generated tail beyond what the append
   // ladder consumed; wrap around if the mixed ladder outruns it.
   size_t fresh_cursor = applied;
+  const auto fresh_row = [&]() {
+    if (fresh_cursor >= source.num_rows()) fresh_cursor = 0;
+    const size_t r = fresh_cursor++;
+    return std::move(SliceRows(source, r, r + 1)[0]);
+  };
   std::mt19937_64 rng(0xC0FFEEu);
 
   for (double fraction : fractions) {
@@ -169,65 +244,16 @@ int main(int argc, char** argv) {
     size_t generalized = 0;
     bool identical = true;
     for (size_t b = 0; b < batches; ++b) {
-      // Pick 2*ops distinct random live rows: the first `ops` die, the next
-      // `ops` are rewritten to fresh content.
-      const size_t claim = std::min(2 * ops, live.size() - 1);
-      for (size_t i = 0; i < claim; ++i) {
-        const size_t pick = rng() % (live.size() - i);
-        std::swap(live[pick], live[live.size() - 1 - i]);
-      }
-      const auto fresh_row = [&]() {
-        if (fresh_cursor >= source.num_rows()) fresh_cursor = 0;
-        auto row = SliceRows(source, fresh_cursor, fresh_cursor + 1);
-        ++fresh_cursor;
-        return std::move(row[0]);
-      };
-      const size_t num_deletes = claim / 2;
-      const size_t num_updates = claim - num_deletes;
-      std::vector<RecordId> deletes;
-      for (size_t i = live.size() - num_deletes; i < live.size(); ++i) {
-        deletes.push_back(live[i].first);
-      }
-      std::vector<
-          std::pair<RecordId, std::vector<std::optional<std::string>>>>
-          updates;
-      for (size_t i = live.size() - claim; i < live.size() - num_deletes;
-           ++i) {
-        updates.emplace_back(live[i].first, fresh_row());
-      }
-      std::vector<std::vector<std::optional<std::string>>> inserts;
-      for (size_t i = 0; i < num_deletes; ++i) inserts.push_back(fresh_row());
-
-      // One call, one repair pass — deletes, updates, and inserts share the
-      // cover repair and the hybrid loop.
-      Timer timer;
-      const FDSet& incremental_fds =
-          crud_session.ApplyMixed(inserts, deletes, updates);
-      incremental_seconds += timer.ElapsedSeconds();
+      incremental_seconds +=
+          model.ApplyMixed(&crud_session, ops, &rng, fresh_row);
       generalized += crud_session.last_batch_stats().fds_generalized;
 
-      // Mirror the session's id assignment: inserts append first, then the
-      // updates' fresh versions.
-      live.resize(live.size() - num_deletes);
-      RecordId next_id =
-          static_cast<RecordId>(crud_session.relation().num_rows()) -
-          static_cast<RecordId>(num_updates + inserts.size());
-      for (auto& row : inserts) live.emplace_back(next_id++, row);
-      for (size_t i = 0; i < num_updates; ++i) {
-        auto& slot = live[live.size() - inserts.size() - num_updates + i];
-        slot = {next_id++, updates[i].second};
-      }
-
-      std::vector<std::vector<std::optional<std::string>>> model_rows;
-      model_rows.reserve(live.size());
-      for (const auto& [id, row] : live) model_rows.push_back(row);
-      Relation model = Relation::FromRows(source.schema(), model_rows);
-
-      timer.Restart();
-      FDSet scratch_fds = DiscoverFds(model, scratch_config);
+      Relation live = model.ToRelation(source.schema());
+      Timer timer;
+      FDSet scratch_fds = DiscoverFds(live, scratch_config);
       scratch_seconds += timer.ElapsedSeconds();
 
-      identical = identical && incremental_fds == scratch_fds;
+      identical = identical && crud_session.fds() == scratch_fds;
 
       RunReport report = crud_session.report();
       report.dataset = "fd-reduced (generated, mixed ops)";
@@ -245,6 +271,75 @@ int main(int argc, char** argv) {
     if (fraction <= 0.01 && speedup < 2.0) small_batch_speedup_ok = false;
   }
 
+  // --- Fixed-batch table-size ladder. --------------------------------------
+  // Planted FDs ({0,1} -> 4, {2} -> 5, {1,3} -> 6) hold at every size, so
+  // each rung revalidates real FDs; on fd-reduced data at this domain the
+  // FD set shrinks to nothing as rows grow, and the top rung would time an
+  // empty validation.
+  constexpr size_t kLadderOps = 16;  // 16 inserts, 16 deletes, 16 updates
+  constexpr size_t kLadderBatches = 8;
+  const std::vector<size_t> ladder_rows =
+      smoke ? std::vector<size_t>{3000, 12000}
+            : std::vector<size_t>{20000, 80000, 320000};
+  GeneratorConfig ladder_gen;
+  ladder_gen.seed = 11;
+  ladder_gen.columns = {
+      {.cardinality = domain},
+      {.cardinality = domain},
+      {.cardinality = domain},
+      {.cardinality = domain},
+      {.cardinality = domain, .sources = {0, 1}},
+      {.cardinality = domain, .sources = {2}},
+      {.cardinality = domain, .sources = {1, 3}},
+      {.cardinality = domain},
+  };
+  std::printf("\n=== Fixed-batch table-size ladder: %zu ApplyMixed batches of "
+              "%zu inserts + %zu deletes + %zu updates per rung, planted FDs "
+              "===\n",
+              kLadderBatches, kLadderOps, kLadderOps, kLadderOps);
+  std::printf("%10s %6s %14s %14s %14s %6s\n", "rows", "fds", "batch p50",
+              "batch max", "from-scratch", "same");
+  for (size_t n : ladder_rows) {
+    ladder_gen.rows = n + 2 * kLadderOps * kLadderBatches;
+    const Relation rung_source = Generate(ladder_gen);
+    IncrementalHyFd rung_session(rung_source.HeadRows(n), config);
+    LiveModel rung_model(rung_source, n);
+    size_t cursor = n;
+    const auto rung_fresh = [&]() {
+      const size_t r = cursor++;
+      return std::move(SliceRows(rung_source, r, r + 1)[0]);
+    };
+    std::mt19937_64 rung_rng(0xC0FFEEu);
+    std::vector<double> batch_seconds;
+    std::vector<RunReport> reports;
+    for (size_t b = 0; b < kLadderBatches; ++b) {
+      batch_seconds.push_back(
+          rung_model.ApplyMixed(&rung_session, kLadderOps, &rung_rng,
+                                rung_fresh));
+      reports.push_back(rung_session.report());
+    }
+    Relation live = rung_model.ToRelation(rung_source.schema());
+    Timer timer;
+    FDSet scratch_fds = DiscoverFds(live, scratch_config);
+    const double scratch_seconds = timer.ElapsedSeconds();
+    const bool identical = rung_session.fds() == scratch_fds;
+    all_identical = all_identical && identical;
+    reports.back().SetCounter("bench.identical", identical ? 1 : 0);
+    for (RunReport& report : reports) {
+      report.dataset = "planted FDs (generated, table-size ladder)";
+      report.SetCounter("bench.ladder_rows", n);
+      report.SetCounter("bench.mixed_ops", kLadderOps);
+      sink.Add(report);
+    }
+    std::sort(batch_seconds.begin(), batch_seconds.end());
+    std::printf("%10zu %6zu %12.2fms %12.2fms %13.3fs %6s\n", n,
+                rung_session.fds().size(),
+                batch_seconds[batch_seconds.size() / 2] * 1e3,
+                batch_seconds.back() * 1e3, scratch_seconds,
+                identical ? "yes" : "NO !!");
+    std::fflush(stdout);
+  }
+
   if (!sink.WriteJson(out)) return 1;
 
   std::printf(
@@ -256,7 +351,7 @@ int main(int argc, char** argv) {
       "non-zero.\n");
   // The speedup bar is meaningful at the default scale, where the scratch
   // baseline is large enough to amortize the per-batch fixed costs (cover
-  // repair, cache rebind). --smoke shrinks the baseline to a correctness
+  // repair, state growth). --smoke shrinks the baseline to a correctness
   // gate; its ratios are noise.
   if (!small_batch_speedup_ok && !smoke) {
     std::printf("WARNING: a <=1%% batch point fell below the 2x speedup bar.\n");

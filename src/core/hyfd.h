@@ -47,9 +47,9 @@ struct HyFdConfig {
   PliCache* pli_cache = nullptr;
   /// With pli_cache == nullptr: build a HyFd-owned cache so LHS partitions
   /// assembled by the Validator stay warm across repeated Discover() calls
-  /// on the same relation (the EAIFD setting). The owned cache is dropped
-  /// automatically when Discover() sees different data (detected by a full
-  /// fingerprint of the compressed records).
+  /// on the same relation. Discover() replaces the owned cache with a fresh
+  /// one whenever the data changed, detected by DataFingerprint (the
+  /// relation's storage-layer content plus the compressed records).
   ///
   /// This flag is also what authorizes the owned-cache FALLBACK after an
   /// incompatible external `pli_cache` was rejected: with it false, a

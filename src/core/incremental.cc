@@ -24,24 +24,11 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(config_.num_threads));
   }
-  if (config_.enable_pli_cache) {
-    PliCache::Config cache_config;
-    cache_config.budget_bytes = config_.pli_cache_budget_bytes;
-    cache_config.thread_safe = config_.num_threads > 1;
-    // Singles-less shape (as HyFd's owned cache): only Validator-assembled
-    // LHS partitions are stored, and — unlike a pinned-singles cache — it
-    // can legally re-bind to the grown data after every batch. Seed() binds
-    // it to the data.
-    cache_ = std::make_unique<PliCache>(relation_.num_columns(),
-                                        relation_.num_rows(), cache_config,
-                                        config_.null_semantics);
-  }
-  const PliCacheDelta cache_delta(cache_.get());
   Seed();
 
   // stats_ keeps the seeding run's sampling/validation attribution (it was
   // zeroed here once, which made the seed report claim zero work).
-  FillReport(total_timer.ElapsedSeconds(), cache_delta);
+  FillReport(total_timer.ElapsedSeconds());
 }
 
 void IncrementalHyFd::Reseed() {
@@ -72,7 +59,6 @@ void IncrementalHyFd::Seed() {
   // A fresh Inductor seeds the most general FDs ∅ → A on its first Update
   // over the fresh tree.
   inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
-  if (cache_ != nullptr) cache_->Rebind(++cache_epoch_, data_.num_records);
 
   // HyFd::Discover's phases, minus the memory guardian (a pruned tree would
   // silently break the incremental equivalence guarantee, so the session
@@ -83,7 +69,7 @@ void IncrementalHyFd::Seed() {
   Sampler sampler(&data_, config_.efficiency_threshold,
                   SamplingStrategy::kClusterWindowing, pool_.get(), &metrics_);
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get(), &metrics_);
+                      pool_.get(), /*cache=*/nullptr, &metrics_);
   HybridLoopOutcome loop = RunHybridLoop(
       &tree_,
       [&](RecordPairs suggestions) {
@@ -345,10 +331,6 @@ std::vector<AttributeSet> IncrementalHyFd::MinimalUccs() const {
   return UccsOf(candidates);
 }
 
-void IncrementalHyFd::set_pli_cache_budget_bytes(size_t budget_bytes) {
-  if (cache_ != nullptr) cache_->set_budget_bytes(budget_bytes);
-}
-
 const FDSet& IncrementalHyFd::ApplyCrud(
     const std::vector<std::vector<std::optional<std::string>>>& inserts,
     const std::vector<RecordId>& deletes,
@@ -394,10 +376,9 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   stats_.batch_rows = inserts.size() + updates.size();
   stats_.deleted_rows = dead.size();
   metrics_.Reset();
-  const PliCacheDelta cache_delta(cache_.get());
 
   if (inserts.empty() && updates.empty() && dead.empty()) {
-    FillReport(total_timer.ElapsedSeconds(), cache_delta);
+    FillReport(total_timer.ElapsedSeconds());
     return fds_;
   }
 
@@ -423,7 +404,7 @@ const FDSet& IncrementalHyFd::ApplyCrud(
     // also compacts away this batch's tombstones.
     stats_.append_seconds = timer.ElapsedSeconds();
     Reseed();
-    FillReport(total_timer.ElapsedSeconds(), cache_delta);
+    FillReport(total_timer.ElapsedSeconds());
     return fds_;
   }
 
@@ -431,17 +412,15 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   if (!dead.empty()) ShrinkDerivedState(dead);
   Validator::ClusterDelta delta;
   GrowDerivedState(old_n, new_n, &delta);
-  if (cache_ != nullptr) {
-    // Every cached partition describes the pre-batch rows; a fresh epoch
-    // makes Rebind drop them all (Counters::stale_drops).
-    cache_->Rebind(++cache_epoch_, new_n);
-  }
   stats_.append_seconds = timer.ElapsedSeconds();
 
   // Deletes can make FDs valid: repair the cover downward before the loop.
   timer.Restart();
-  const FDSet fds_before = dead.empty() ? FDSet{} : fds_;
-  if (!dead.empty()) RepairCoverAfterDeletes();
+  FDSet fds_before;
+  if (!dead.empty()) {
+    fds_before = std::move(fds_);
+    RepairCoverAfterDeletes();
+  }
 
   // --- 3. Targeted pairs: only pairs involving a new row. -----------------
   // Within each touched cluster, every new member (ids ≥ old_n sort to the
@@ -477,7 +456,7 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   // zero scan cost; generalization candidates and freshly specialized
   // candidates get the full check.
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get(), &metrics_);
+                      pool_.get(), /*cache=*/nullptr, &metrics_);
   validator.set_delta(&delta);
   HybridLoopOutcome loop = RunHybridLoop(
       &tree_,
@@ -494,15 +473,18 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   // (tree no-op — the loop is settled — but richer witnesses survive more
   // future deletes).
   MatchPairs(std::move(loop.last_suggestions));
-  HYFD_AUDIT_ONLY(if (cache_ != nullptr) cache_->CheckInvariants());
 
   fds_ = tree_.ToFdSet();
   if (!dead.empty()) {
+    // Both sets come from ToFdSet and are canonical, so one merge pass
+    // counts the FDs that were not in the cover before the batch.
+    auto before = fds_before.begin();
     for (const FD& fd : fds_) {
-      if (!fds_before.Contains(fd)) ++stats_.fds_generalized;
+      while (before != fds_before.end() && *before < fd) ++before;
+      if (before == fds_before.end() || fd < *before) ++stats_.fds_generalized;
     }
   }
-  FillReport(total_timer.ElapsedSeconds(), cache_delta);
+  FillReport(total_timer.ElapsedSeconds());
   return fds_;
 }
 
@@ -667,8 +649,7 @@ const FDSet& IncrementalHyFd::ApplyBatchStrings(
   return ApplyBatch(converted);
 }
 
-void IncrementalHyFd::FillReport(double total_seconds,
-                                 const PliCacheDelta& cache_delta) {
+void IncrementalHyFd::FillReport(double total_seconds) {
   stats_.num_fds = fds_.size();
   report_ = RunReport{};
   report_.algorithm = "hyfd_incremental";
@@ -682,10 +663,6 @@ void IncrementalHyFd::FillReport(double total_seconds,
   report_.AddPhase("validation", stats_.validation_seconds);
   // No guardian and no result pruning in a session: the answer is complete
   // by construction (the equivalence guarantee depends on it).
-  const PliCache::Counters cache_used = cache_delta.Record(&report_);
-  if (cache_ != nullptr) {
-    report_.SetCounter("incremental.cache_stale_drops", cache_used.stale_drops);
-  }
   report_.MergeMetrics(metrics_);
   report_.SetCounter("incremental.batches",
                      static_cast<uint64_t>(num_batches_));

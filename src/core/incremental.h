@@ -28,17 +28,15 @@ namespace hyfd {
 
 /// Tuning knobs of an incremental discovery session. A deliberate subset of
 /// HyFdConfig: the session owns its relation and derived state, so the
-/// external-cache and memory-guardian channels do not apply.
+/// PLI-cache and memory-guardian channels do not apply.
 struct IncrementalConfig {
   NullSemantics null_semantics = NullSemantics::kNullEqualsNull;
   /// Phase-switch threshold, as in HyFdConfig (paper Figure 8).
   double efficiency_threshold = 0.01;
   /// > 1 parallelizes sampling and validation on one shared pool.
   int num_threads = 1;
-  /// Keep a session-owned budgeted PliCache warm across the phase switches
-  /// of each batch; every non-empty batch re-binds it to a new session
-  /// epoch, which drops the stale entries.
-  bool enable_pli_cache = true;
+  /// Ignored: sessions keep no PLI cache. Still declared so that callers
+  /// which set it keep compiling.
   size_t pli_cache_budget_bytes = PliCache::kDefaultBudgetBytes;
   /// Deletes leave emptied cluster slots in place (slot indexes stay stable
   /// for the delta machinery); when a column's empty-slot fraction crosses
@@ -87,13 +85,12 @@ struct IncrementalBatchStats {
   double validation_seconds = 0;
 };
 
-/// EAIFD-style incremental FD discovery session (the direction reserved by
-/// HyFdConfig::enable_pli_cache's documentation).
+/// EAIFD-style incremental FD discovery session.
 ///
 /// The session owns a Relation plus everything HyFD derives from it — the
-/// single-column PLIs, the compressed records, the candidate FDTree with its
-/// per-node `confirmed` proofs, and a budgeted PliCache — and keeps all of
-/// it consistent across row-batch inserts:
+/// single-column PLIs, the compressed records, and the candidate FDTree with
+/// its per-node `confirmed` proofs — and keeps all of it consistent across
+/// row-batch inserts:
 ///
 ///   IncrementalHyFd session(initial_relation);
 ///   const FDSet& fds0 = session.fds();            // full HyFD discovery
@@ -220,14 +217,6 @@ class IncrementalHyFd {
   /// not HyUCC's on LiveRelation() (DESIGN.md §14).
   std::vector<AttributeSet> MinimalUccs() const;
 
-  /// Re-budgets the session-owned PliCache, evicting immediately if the new
-  /// budget is lower; a no-op for sessions built with enable_pli_cache ==
-  /// false. The multi-tenant service calls this to apply per-tenant
-  /// fair-share partitioning of a global cache budget as tables come and
-  /// go. Like every other session call, callers must serialize it with the
-  /// session's other operations (the service's per-table lock does).
-  void set_pli_cache_budget_bytes(size_t budget_bytes);
-
   /// Rows the FD set is computed over: relation().num_rows() minus
   /// tombstones.
   size_t num_live_rows() const { return num_live_rows_; }
@@ -299,10 +288,9 @@ class IncrementalHyFd {
   /// returns the agree sets not yet in the session's negative cover; fresh
   /// ones are recorded in the cover with their witnessing pair.
   std::vector<AttributeSet> MatchPairs(RecordPairs pairs);
-  /// Stamps stats_.num_fds, rebuilds report_ from stats_, the metrics
-  /// registry and the cache activity since `cache_delta`'s snapshot, and
-  /// mirrors it to config_.run_report.
-  void FillReport(double total_seconds, const PliCacheDelta& cache_delta);
+  /// Stamps stats_.num_fds, rebuilds report_ from stats_ and the metrics
+  /// registry, and mirrors it to config_.run_report.
+  void FillReport(double total_seconds);
 
   IncrementalConfig config_;
   /// Sampler, Inductor and Validator counters of the current seed, reseed
@@ -316,7 +304,6 @@ class IncrementalHyFd {
   /// batch Update() never re-adds the most general FDs over a seeded tree.
   std::unique_ptr<Inductor> inductor_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<PliCache> cache_;
   /// The witnessed negative cover: every agree set ever observed, mapped to
   /// the record pair that witnessed it. Duplicates are sound but wasted
   /// work, so batches only forward fresh sets to the Inductor. On deletes,
@@ -335,11 +322,6 @@ class IncrementalHyFd {
   /// Relation::IdentityEpoch() the derived state was built under; a change
   /// after an append means codes split retroactively → Reseed().
   uint64_t identity_epoch_ = 0;
-  /// The token cache_ is bound to: bumped by the seed and by every
-  /// non-empty batch, so a cached partition never outlives the rows it was
-  /// built from. Hashing the data instead would cost a pass over every
-  /// physical row per batch.
-  uint64_t cache_epoch_ = 0;
 
   IncrementalBatchStats stats_;
   RunReport report_;

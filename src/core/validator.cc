@@ -69,6 +69,11 @@ Validator::Validator(const PreprocessedData* data, FDTree* tree,
 
 void Validator::set_delta(const ClusterDelta* delta) {
   if (delta != nullptr) {
+    // A touched-only scan assembles partial LHS partitions, which must never
+    // be cached; incremental Validators therefore take no cache at all.
+    HYFD_CHECK(cache_ == nullptr,
+               "Validator: incremental mode cannot be combined with a PLI "
+               "cache");
     HYFD_CHECK(delta->touched.size() ==
                    static_cast<size_t>(data_->num_attributes),
                "Validator: delta touched-cluster lists do not cover every "
@@ -127,11 +132,8 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     const bool multi_lhs = entry.lhs.Count() >= 2;
     // A cached LHS partition (from an earlier discovery pass or a sibling
     // algorithm sharing the cache) replaces the grouping pass entirely.
-    // Never in restricted mode: cached partitions describe the *whole*
-    // relation, which is correct but defeats the touched-only savings — and
-    // the restricted scan must never *create* cache entries either, so the
-    // cache is bypassed symmetrically.
-    if (cache_ != nullptr && multi_lhs && !restricted) {
+    // Restricted units never get here with a cache: set_delta refuses one.
+    if (cache_ != nullptr && multi_lhs) {
       if (auto cached = cache_->Probe(entry.lhs)) {
         u.cached = std::move(cached);
         u.job.clusters = &u.cached->clusters();
@@ -180,7 +182,7 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     // π_lhs: every group that gains a second record becomes one of its
     // stripped clusters. Abandoned on early exit (partial partitions are
     // never cached).
-    u.job.collect = cache_ != nullptr && multi_lhs && !restricted;
+    u.job.collect = cache_ != nullptr && multi_lhs;
     units.push_back(std::move(u));
   };
 

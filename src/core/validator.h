@@ -69,8 +69,9 @@ class Validator {
   /// data (FDTree::Node::confirmed) are re-checked only over the delta's
   /// touched pivot clusters; fresh candidates still get the full check. The
   /// delta must outlive the Validator and describe the *current* grown
-  /// `data` (restricted-mode refinement never probes or fills the PliCache —
-  /// a touched-only scan yields partial partitions that must not be cached).
+  /// `data`. Incremental Validators take no cache (ContractViolation
+  /// otherwise): a touched-only scan yields partial partitions that must not
+  /// be cached.
   void set_delta(const ClusterDelta* delta);
 
   /// Continues the level-wise traversal from where it last stopped.

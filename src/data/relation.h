@@ -111,7 +111,7 @@ class Relation {
   /// types, dictionaries, and code vectors. Two relations share a
   /// fingerprint only if they are byte-identical at the storage layer, so a
   /// binary-cache reload of a changed CSV can never alias the old data even
-  /// when the cluster structure happens to match (see PliCache::Rebind).
+  /// when the cluster structure happens to match (see DataFingerprint).
   uint64_t ContentFingerprint() const;
 
   /// Deep structural audit: schema/segment arity agreement, rectangular

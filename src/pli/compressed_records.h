@@ -67,11 +67,11 @@ class CompressedRecords {
   }
 
   /// FNV-1a fingerprint over the matrix shape, the tombstone epoch, and
-  /// every cluster id. Keys the PliCache binding (HyFd's owned cross-run
-  /// cache, PliCache::Rebind): equal fingerprints ⇒ identical compressed
-  /// input, so cached partitions remain valid; any append, edit, or delete
-  /// changes the fingerprint (deletes through the epoch — wiping an
-  /// all-unique row leaves the cells untouched).
+  /// every cluster id. Part of DataFingerprint, which keys HyFd's owned
+  /// cross-run PliCache: equal fingerprints ⇒ identical compressed input, so
+  /// cached partitions remain valid; any append, edit, or delete changes the
+  /// fingerprint (deletes through the epoch — wiping an all-unique row
+  /// leaves the cells untouched).
   uint64_t Fingerprint() const;
 
   /// Deep audit for the grown state: rebuilds the matrix from `plis` (which

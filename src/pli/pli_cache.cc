@@ -170,9 +170,9 @@ void PliCache::Put(const AttributeSet& attrs, std::shared_ptr<const Pli> pli) {
   if (attrs.Count() == 0 || pli == nullptr) return;
   HYFD_CHECK(attrs.size() == num_attributes_,
              "PliCache::Put: key ranges over the wrong attribute count");
-  WriterLock lock(mu_);  // num_records_ is guarded: check under the lock
   HYFD_CHECK(pli->num_records() == num_records_,
              "PliCache::Put: partition built over a different record count");
+  WriterLock lock(mu_);
   InsertLocked(attrs, std::move(pli));
 }
 
@@ -226,24 +226,6 @@ void PliCache::ChargeTrackerLocked() const {
     config_.memory_tracker->SetComponent(MemoryTracker::kPlis,
                                          singles_bytes_ + bytes_);
   }
-}
-
-void PliCache::Rebind(uint64_t data_fingerprint, size_t num_records) {
-  WriterLock lock(mu_);
-  if (data_fingerprint_ == data_fingerprint && num_records_ == num_records) {
-    return;  // same data: cached partitions stay warm
-  }
-  HYFD_CHECK(singles_.empty(),
-             "PliCache::Rebind: a cache with pinned singles cannot re-bind — "
-             "the pinned single-column PLIs would be stale");
-  stale_drops_.fetch_add(lru_.size(), std::memory_order_relaxed);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  data_fingerprint_ = data_fingerprint;
-  num_records_ = num_records;
-  ChargeTrackerLocked();
-  HYFD_AUDIT_ONLY(CheckInvariantsLocked());
 }
 
 void PliCache::set_budget_bytes(size_t budget_bytes) {
@@ -314,7 +296,6 @@ PliCache::Counters PliCache::counters() const {
   c.evictions = evictions_.load(std::memory_order_relaxed);
   c.derivations = derivations_.load(std::memory_order_relaxed);
   c.inserts = inserts_.load(std::memory_order_relaxed);
-  c.stale_drops = stale_drops_.load(std::memory_order_relaxed);
   c.bytes = bytes_;
   c.entries = lru_.size();
   return c;
@@ -326,7 +307,6 @@ void PliCache::ResetCounters() {
   evictions_.store(0, std::memory_order_relaxed);
   derivations_.store(0, std::memory_order_relaxed);
   inserts_.store(0, std::memory_order_relaxed);
-  stale_drops_.store(0, std::memory_order_relaxed);
 }
 
 size_t PliCache::TotalBytes() const {

@@ -89,7 +89,6 @@ class PliCache {
     size_t evictions = 0;
     size_t derivations = 0;  ///< PLI intersections performed on miss paths
     size_t inserts = 0;
-    size_t stale_drops = 0;  ///< entries dropped by Rebind() re-binding
     size_t bytes = 0;
     size_t entries = 0;
   };
@@ -122,10 +121,7 @@ class PliCache {
   PliCache& operator=(PliCache&&) = delete;
 
   int num_attributes() const { return num_attributes_; }
-  size_t num_records() const HYFD_EXCLUDES(mu_) {
-    ReaderLock lock(mu_);  // Rebind() may update the count
-    return num_records_;
-  }
+  size_t num_records() const { return num_records_; }
   NullSemantics null_semantics() const { return nulls_; }
   /// The construction-time configuration. Immutable for the cache's
   /// lifetime; the *live* byte budget moves with set_budget_bytes() and is
@@ -167,26 +163,6 @@ class PliCache {
   /// partitions HyFD's Validator assembles as a by-product of refinement.
   void Put(const AttributeSet& attrs, Pli pli) HYFD_EXCLUDES(mu_);
   void Put(const AttributeSet& attrs, std::shared_ptr<const Pli> pli)
-      HYFD_EXCLUDES(mu_);
-
-  /// Fingerprint of the dataset the cached partitions were built from
-  /// (CompressedRecords::Fingerprint); 0 until the first Rebind().
-  uint64_t data_fingerprint() const HYFD_EXCLUDES(mu_) {
-    ReaderLock lock(mu_);
-    return data_fingerprint_;
-  }
-
-  /// Binds the cache to a dataset token + record count. The token is a
-  /// content fingerprint (DataFingerprint, for HyFd's cache that persists
-  /// across Discover() calls) or an owner's epoch that changes with its data
-  /// (IncrementalHyFd). A no-op when both already match (the cached
-  /// partitions stay warm). On any mismatch every derived entry is
-  /// dropped (counted under Counters::stale_drops, not evictions) and the
-  /// record count is updated, so a later Put()/Probe() can never serve a
-  /// partition computed over the old rows. Caches with pinned singles refuse
-  /// to re-bind to different data (the pinned inputs themselves would be
-  /// stale): ContractViolation.
-  void Rebind(uint64_t data_fingerprint, size_t num_records)
       HYFD_EXCLUDES(mu_);
 
   /// Re-budgets the cache, evicting immediately if the new budget is lower.
@@ -249,6 +225,7 @@ class PliCache {
   Config config_;
   NullSemantics nulls_;
   int num_attributes_ = 0;
+  size_t num_records_ = 0;
   size_t singles_bytes_ = 0;
 
   std::vector<std::shared_ptr<const Pli>> singles_;
@@ -258,8 +235,6 @@ class PliCache {
   /// LockPolicy::kElided: statically identical locking, runtime no-ops.
   mutable SharedMutex mu_{config_.thread_safe ? LockPolicy::kEnforced
                                               : LockPolicy::kElided};
-  size_t num_records_ HYFD_GUARDED_BY(mu_) = 0;
-  uint64_t data_fingerprint_ HYFD_GUARDED_BY(mu_) = 0;
   size_t budget_bytes_ HYFD_GUARDED_BY(mu_) = 0;  ///< live value of the budget
   LruList lru_ HYFD_GUARDED_BY(mu_);  ///< front = most recently used
   std::unordered_map<AttributeSet, LruList::iterator> index_
@@ -271,14 +246,13 @@ class PliCache {
   std::atomic<size_t> evictions_{0};
   std::atomic<size_t> derivations_{0};
   std::atomic<size_t> inserts_{0};
-  std::atomic<size_t> stale_drops_{0};
 };
 
 /// One run's share of a cache's cumulative counters (the cache may be shared
 /// across runs or kept warm across calls): snapshots them on construction;
 /// Record() writes the hits, misses and evictions since then into `report`
-/// (if non-null) and returns those deltas plus the stale drops. Null-safe:
-/// without a cache nothing is written and every delta reads zero.
+/// (if non-null) and returns those deltas. Null-safe: without a cache
+/// nothing is written and every delta reads zero.
 class PliCacheDelta {
  public:
   explicit PliCacheDelta(const PliCache* cache) : cache_(cache) {
@@ -292,7 +266,6 @@ class PliCacheDelta {
     delta.hits = now.hits - before_.hits;
     delta.misses = now.misses - before_.misses;
     delta.evictions = now.evictions - before_.evictions;
-    delta.stale_drops = now.stale_drops - before_.stale_drops;
     if (report != nullptr) {
       report->pli_cache_hits = delta.hits;
       report->pli_cache_misses = delta.misses;

@@ -33,9 +33,8 @@ struct ServiceConfig {
   /// Enforced up-front by MemoryGuardian::AdmitWork — an over-budget batch
   /// is refused with kMemoryRejected before the session is touched.
   size_t memory_limit_bytes = 0;
-  /// Global PliCache budget, split evenly across live tables (the fair-share
-  /// rule). Each create/drop recomputes every tenant's share; a session
-  /// picks up its new share on its next request.
+  /// Ignored: table sessions keep no PLI cache. Still declared so that
+  /// callers which set it keep compiling.
   size_t pli_cache_total_budget_bytes = PliCache::kDefaultBudgetBytes;
   NullSemantics null_semantics = NullSemantics::kNullEqualsNull;
   double efficiency_threshold = 0.01;
@@ -107,9 +106,6 @@ class FdService {
     Mutex mu;
     std::unique_ptr<IncrementalHyFd> session HYFD_GUARDED_BY(mu);
     bool dropped HYFD_GUARDED_BY(mu) = false;
-    /// Latest fair-share PliCache budget, written by create/drop under the
-    /// registry writer lock, applied lazily by the next request under `mu`.
-    std::atomic<size_t> cache_budget_bytes{0};
     /// Estimated bytes this table retains (admission bookkeeping).
     std::atomic<size_t> retained_bytes{0};
   };
@@ -118,8 +114,6 @@ class FdService {
   ServiceResult Execute(const std::function<ServiceResult()>& work);
   std::shared_ptr<TableEntry> FindTable(const std::string& name)
       HYFD_EXCLUDES(registry_mu_);
-  /// Recomputes every live table's fair PliCache share.
-  void RebudgetLocked() HYFD_REQUIRES(registry_mu_);
 
   const ServiceConfig config_;
 

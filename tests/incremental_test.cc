@@ -101,7 +101,7 @@ void RunDifferentialSchedule(const Relation& full, size_t initial_rows,
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance-criteria matrix: seeds × threads {1, 8} × cache {on, off}.
+// The acceptance-criteria matrix: seeds × threads {1, 8}.
 // ---------------------------------------------------------------------------
 
 class IncrementalDifferentialTest : public ::testing::TestWithParam<uint64_t> {
@@ -111,16 +111,11 @@ TEST_P(IncrementalDifferentialTest, MatchesFromScratchAfterEveryBatch) {
   const uint64_t seed = GetParam();
   Relation full = testing::RandomRelation(5, 120, seed, 3);
   for (int threads : {1, 8}) {
-    for (bool cache : {true, false}) {
-      IncrementalConfig config;
-      config.num_threads = threads;
-      config.enable_pli_cache = cache;
-      RunDifferentialSchedule(
-          full, /*initial_rows=*/60, /*num_batches=*/4, config, seed,
-          /*check_brute_force=*/true,
-          "threads=" + std::to_string(threads) +
-              " cache=" + (cache ? std::string("on") : std::string("off")));
-    }
+    IncrementalConfig config;
+    config.num_threads = threads;
+    RunDifferentialSchedule(full, /*initial_rows=*/60, /*num_batches=*/4,
+                            config, seed, /*check_brute_force=*/true,
+                            "threads=" + std::to_string(threads));
   }
 }
 
@@ -530,8 +525,8 @@ void RunCrudSchedule(const Relation& full, size_t initial_rows,
   }
 }
 
-// The acceptance-criteria matrix: seeds × threads {1, 8} × cache {on, off},
-// brute-force checked after every step.
+// The acceptance-criteria matrix: seeds × threads {1, 8}, brute-force
+// checked after every step.
 class IncrementalCrudDifferentialTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -539,16 +534,11 @@ TEST_P(IncrementalCrudDifferentialTest, MatchesFromScratchAfterEveryStep) {
   const uint64_t seed = GetParam();
   Relation full = testing::RandomRelation(5, 140, seed, 3);
   for (int threads : {1, 8}) {
-    for (bool cache : {true, false}) {
-      IncrementalConfig config;
-      config.num_threads = threads;
-      config.enable_pli_cache = cache;
-      RunCrudSchedule(
-          full, /*initial_rows=*/70, /*num_steps=*/8, config, seed,
-          /*check_brute_force=*/true,
-          "crud threads=" + std::to_string(threads) +
-              " cache=" + (cache ? std::string("on") : std::string("off")));
-    }
+    IncrementalConfig config;
+    config.num_threads = threads;
+    RunCrudSchedule(full, /*initial_rows=*/70, /*num_steps=*/8, config, seed,
+                    /*check_brute_force=*/true,
+                    "crud threads=" + std::to_string(threads));
   }
 }
 
@@ -847,29 +837,9 @@ TEST(IncrementalCrudTest, ReseedAfterDeletesCompactsToLiveRows) {
                          "delete after reseed");
 }
 
-TEST(IncrementalStatsTest, CacheRebindsAcrossBatches) {
-  Relation full = testing::RandomRelation(5, 120, 19, 3);
-  IncrementalConfig config;
-  config.enable_pli_cache = true;
-  IncrementalHyFd session(full.HeadRows(100), config);
-  session.ApplyBatch(Slice(full, 100, 110));
-  session.ApplyBatch(Slice(full, 110, 120));
-  // Each batch re-binds the session cache to the grown fingerprint; the
-  // report carries the stale-drop delta (≥ 0 — zero only when the Validator
-  // never assembled a multi-attribute partition worth caching).
-  const RunReport& report = session.report();
-  bool found = false;
-  for (const auto& [name, value] : report.counters) {
-    if (name == "incremental.cache_stale_drops") found = true;
-  }
-  EXPECT_TRUE(found);
-  testing::ExpectSameFds(DiscoverFds(full), session.fds(), "two batches");
-}
-
 // ---------------------------------------------------------------------------
 // Reads served from the session's own state: LiveRelation() streamed column
-// by column, MinimalUccs() derived from the FD tree, and the epoch-bound
-// PLI cache.
+// by column and MinimalUccs() derived from the FD tree.
 // ---------------------------------------------------------------------------
 
 /// Random CRUD batches against `session`, which was seeded with a prefix of
@@ -1174,54 +1144,38 @@ TEST(SessionUccsEdgeTest, DeadRowsWidenedToString) {
 
 TEST(SessionUccsEdgeTest, WideUniprot) {
   // The column regime: uniprot 1000 x 38 holds ~390k minimal FDs and
-  // thousands of minimal UCCs.
-  // The batch only inserts: a delete batch on this shape rebuilds the
-  // candidate tree from the whole negative cover and takes minutes.
+  // thousands of minimal UCCs. The batch inserts the last 10 rows and
+  // deletes two seeded ones, so the cover is repaired downward too.
   const Relation full = MakeDataset("uniprot", 1000, 38);
   IncrementalHyFd session(full.HeadRows(990));
   ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull, "seed");
-  session.ApplyBatch(Slice(full, 990, 1000));
+  session.ApplyMixed(Slice(full, 990, 1000), {RecordId{3}, RecordId{500}},
+                     {});
   ExpectUccsMatchHyUcc(session, NullSemantics::kNullEqualsNull,
-                       "after inserts");
+                       "after inserts and deletes");
 }
 
-// The session's PLI cache is bound to an epoch that every non-empty batch
-// bumps, so partitions the Validator cached for earlier rows are dropped
-// before the batch validates anything. Here the seed caches π_{a,b} (it
-// proves {a,b} -> c), and {a,b} -> d fails only on rows 0 and 1. Deleting
-// row 1 keeps the physical row count, so only the epoch tells the cache
-// that π_{a,b} is stale. The delete batch then checks {a,b} -> d from
-// scratch, and the stale partition, which still pairs rows 0 and 1, would
-// reject it.
-TEST(IncrementalCacheTest, BatchesNeverReusePartitionsCachedBeforeThem) {
+// Deleting row 1 removes the only pair that violates {a,b} -> d, so the
+// delete batch must generalize the cover down to it. The seed proves
+// {a,b} -> c on a partition that still pairs rows 0 and 1; nothing of that
+// check may leak into the batch's validation of {a,b} -> d.
+TEST(IncrementalCrudTest, DeleteValidatesLhsCheckedBeforeIt) {
   const Relation r = Relation::FromStringRows(
       Schema({"a", "b", "c", "d"}), {{"1", "1", "x", "p"},
                                      {"1", "1", "x", "q"},
                                      {"1", "2", "y", "q"},
                                      {"2", "1", "z", "q"},
                                      {"2", "2", "w", "p"}});
-  IncrementalConfig cached_config;
-  cached_config.enable_pli_cache = true;
-  IncrementalConfig plain_config = cached_config;
-  plain_config.enable_pli_cache = false;
-  IncrementalHyFd cached(r, cached_config);
-  IncrementalHyFd plain(r, plain_config);
+  IncrementalHyFd session(r);
   const FD ab_to_d(AttributeSet(4, {0, 1}), 3);
-  EXPECT_TRUE(cached.fds().Contains(FD(AttributeSet(4, {0, 1}), 2)));
-  EXPECT_FALSE(cached.fds().Contains(ab_to_d));
+  EXPECT_TRUE(session.fds().Contains(FD(AttributeSet(4, {0, 1}), 2)));
+  EXPECT_FALSE(session.fds().Contains(ab_to_d));
 
-  cached.DeleteRows({RecordId{1}});
-  plain.DeleteRows({RecordId{1}});
-  EXPECT_GT(cached.last_batch_stats().validations, 0u);
-  EXPECT_TRUE(cached.fds().Contains(ab_to_d));
-  testing::ExpectSameFds(plain.fds(), cached.fds(), "after the delete");
-  testing::ExpectSameFds(DiscoverFds(cached.LiveRelation()), cached.fds(),
+  session.DeleteRows({RecordId{1}});
+  EXPECT_GT(session.last_batch_stats().validations, 0u);
+  EXPECT_TRUE(session.fds().Contains(ab_to_d));
+  testing::ExpectSameFds(DiscoverFds(session.LiveRelation()), session.fds(),
                          "after the delete vs from scratch");
-  uint64_t stale_drops = 0;
-  for (const auto& [name, value] : cached.report().counters) {
-    if (name == "incremental.cache_stale_drops") stale_drops = value;
-  }
-  EXPECT_GT(stale_drops, 0u);
 }
 
 }  // namespace

@@ -467,68 +467,15 @@ TEST_P(DfdBudgetRegressionTest, ResultsIdenticalAcrossBudgets) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DfdBudgetRegressionTest,
                          ::testing::Range(uint64_t{600}, uint64_t{606}));
 
-// ---------------------------------------------------------------------------
-// Rebind / stale-fingerprint regression: after rows are inserted into the
-// underlying relation, entries keyed by the old fingerprint must be dropped
-// (singles-less caches) or the re-bind refused outright (pinned-singles
-// caches). Without this, IncrementalHyFd's cross-batch cache reuse would
-// serve partitions computed over the pre-batch rows.
-// ---------------------------------------------------------------------------
-
-TEST(PliCacheRebindTest, RebindDropsEntriesKeyedByTheOldFingerprint) {
-  Relation r = testing::RandomRelation(4, 50, 71, 3);
-  PliCache cache(r.num_columns(), r.num_rows(), PliCache::Config{});
-  const uint64_t fp_before = 0xfeedULL;
-  cache.Rebind(fp_before, r.num_rows());
-  EXPECT_EQ(cache.data_fingerprint(), fp_before);
-
-  AttributeSet key(r.num_columns(), {0, 1});
-  cache.Put(key, BuildPli(r, key));
-  ASSERT_NE(cache.Probe(key), nullptr);
-
-  // Same fingerprint: a no-op, the entry stays warm (the cross-batch path).
-  cache.Rebind(fp_before, r.num_rows());
-  EXPECT_NE(cache.Probe(key), nullptr);
-  EXPECT_EQ(cache.counters().stale_drops, 0u);
-
-  // Rows were inserted: new fingerprint + record count. Every derived entry
-  // is stale and must go, counted under stale_drops (not evictions).
-  const uint64_t fp_after = 0xbeefULL;
-  cache.Rebind(fp_after, r.num_rows() + 5);
-  EXPECT_EQ(cache.Probe(key), nullptr);
-  EXPECT_EQ(cache.counters().stale_drops, 1u);
-  EXPECT_EQ(cache.counters().evictions, 0u);
-  EXPECT_EQ(cache.counters().entries, 0u);
-  EXPECT_EQ(cache.counters().bytes, 0u);
-  EXPECT_EQ(cache.num_records(), r.num_rows() + 5);
-  EXPECT_NO_THROW(cache.CheckInvariants());
-
-  // A partition still sized for the old rows can no longer be inserted.
-  EXPECT_THROW(cache.Put(key, BuildPli(r, key)), ContractViolation);
-}
-
-TEST(PliCacheRebindTest, FingerprintChangeAloneInvalidates) {
-  // Same row count, different data (e.g. an in-place edit): the fingerprint
-  // mismatch alone must drop the derived entries.
-  Relation r = testing::RandomRelation(4, 40, 72, 3);
-  PliCache cache(r.num_columns(), r.num_rows(), PliCache::Config{});
-  cache.Rebind(1, r.num_rows());
-  AttributeSet key(r.num_columns(), {1, 2});
-  cache.Put(key, BuildPli(r, key));
-  cache.Rebind(2, r.num_rows());
-  EXPECT_EQ(cache.Probe(key), nullptr);
-  EXPECT_EQ(cache.counters().stale_drops, 1u);
-}
-
 // Regression: a binary-cache reload of a CSV edited behind the cache file
 // can produce a relation whose *cluster structure* is identical to the old
-// data (values renamed consistently) — so a fingerprint of the compressed
-// records alone would alias, leaving stale cached partitions live. The
-// binding fingerprint (DataFingerprint) also covers the storage layer
-// (dictionaries, types, format version), so the Rebind must drop everything.
-TEST(PliCacheRebindTest, ReloadedCsvWithSameClustersDoesNotAliasFingerprint) {
+// data (values renamed consistently), so a fingerprint of the compressed
+// records alone would alias. HyFd keys its owned cross-run cache on
+// DataFingerprint, which also covers the storage layer (dictionaries,
+// types, format version), so the reload must fingerprint differently.
+TEST(DataFingerprintTest, ReloadedCsvWithSameClustersDoesNotAlias) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "hyfd_rebind_regression";
+  const fs::path dir = fs::temp_directory_path() / "hyfd_fingerprint_regression";
   fs::create_directories(dir);
   const std::string csv_path = (dir / "data.csv").string();
 
@@ -552,34 +499,10 @@ TEST(PliCacheRebindTest, ReloadedCsvWithSameClustersDoesNotAliasFingerprint) {
   // The trap this test guards: cluster structure alone cannot tell the two
   // datasets apart...
   ASSERT_EQ(first_data.records.Fingerprint(), second_data.records.Fingerprint());
-  // ...but the binding fingerprint must.
-  const uint64_t fp1 = DataFingerprint(first, first_data.records);
-  const uint64_t fp2 = DataFingerprint(second, second_data.records);
-  EXPECT_NE(fp1, fp2);
-
-  // A singles-less cache (HyFd's owned-cache / incremental-session shape)
-  // re-bound across the reload drops its entries as stale.
-  PliCache cache(first.num_columns(), first.num_rows(), PliCache::Config{});
-  cache.Rebind(fp1, first.num_rows());
-  cache.Put(AttributeSet(2, {0, 1}), BuildPli(first, AttributeSet(2, {0, 1})));
-  ASSERT_NE(cache.Probe(AttributeSet(2, {0, 1})), nullptr);
-  cache.Rebind(fp2, second.num_rows());
-  EXPECT_EQ(cache.Probe(AttributeSet(2, {0, 1})), nullptr);
-  EXPECT_EQ(cache.counters().stale_drops, 1u);
+  // ...but the fingerprint HyFd's owned cache keys on must.
+  EXPECT_NE(DataFingerprint(first, first_data.records),
+            DataFingerprint(second, second_data.records));
   fs::remove_all(dir);
-}
-
-TEST(PliCacheRebindTest, PinnedSinglesCacheRefusesToRebind) {
-  Relation r = testing::RandomRelation(4, 40, 73, 3);
-  PliCache cache = PliCache::FromRelation(r);
-  // Matching state is a no-op even with pinned singles...
-  EXPECT_NO_THROW(cache.Rebind(cache.data_fingerprint(), r.num_rows()));
-  // ...but different data would leave the pinned single-column PLIs stale,
-  // so the re-bind must refuse instead of silently corrupting.
-  EXPECT_THROW(cache.Rebind(cache.data_fingerprint() + 1, r.num_rows()),
-               ContractViolation);
-  EXPECT_THROW(cache.Rebind(cache.data_fingerprint(), r.num_rows() + 1),
-               ContractViolation);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include "data/generators.h"
 #include "fd/reference.h"
 #include "gtest/gtest.h"
+#include "pli/pli_cache.h"
 #include "test_util.h"
+#include "util/check.h"
 
 namespace hyfd {
 namespace {
@@ -200,6 +202,22 @@ TEST(ValidatorTest, NullSemanticsPropagate) {
     }
     EXPECT_TRUE(tree.ToFdSet().Contains(FD(AttributeSet(2, {0}), 1)));
   }
+}
+
+// A restricted scan assembles partial partitions, so incremental mode and a
+// PLI cache must never meet: set_delta refuses a Validator that has one.
+TEST(ValidatorTest, IncrementalModeRefusesACache) {
+  Relation r = testing::RandomRelation(3, 20, 41, 3);
+  PreprocessedData data = Preprocess(r);
+  FDTree tree(data.num_attributes);
+  Validator::ClusterDelta delta;
+  delta.touched.resize(static_cast<size_t>(data.num_attributes));
+  PliCache cache(data.num_attributes, data.num_records);
+  Validator cached(&data, &tree, 1e18, /*pool=*/nullptr, &cache);
+  EXPECT_THROW(cached.set_delta(&delta), ContractViolation);
+  EXPECT_NO_THROW(cached.set_delta(nullptr));
+  Validator plain(&data, &tree, 1e18);
+  EXPECT_NO_THROW(plain.set_delta(&delta));
 }
 
 }  // namespace
